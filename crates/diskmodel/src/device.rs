@@ -168,7 +168,7 @@ impl<T: BlockDevice + ?Sized> BlockDeviceExt for T {
         loop {
             let res = self.submit_read(lba, nsect).wait().await;
             match res.status {
-                IoStatus::Ok => return Ok(res.data.expect("read returns data")),
+                IoStatus::Ok => return Ok(res.data.expect("read returns data").into_vec()),
                 IoStatus::MediaError if attempt < EXT_RETRIES => attempt += 1,
                 status => return Err(status),
             }

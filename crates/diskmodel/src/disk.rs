@@ -11,7 +11,7 @@ use crate::device::BlockDevice;
 use crate::geometry::Geometry;
 use crate::queue::{DiskQueue, Queued};
 use crate::request::{new_handle, DiskOp, DiskRequest, IoHandle, IoResult, IoStatus};
-use crate::store::SectorStore;
+use crate::store::{DataView, SectorStore};
 use crate::trackbuf::{BufProbe, TrackBuf};
 
 /// Seek time model: `min + factor * sqrt(distance_in_cylinders)` ms.
@@ -158,7 +158,7 @@ struct DiskMetrics {
     registry: StatsRegistry,
     /// Interned base names for the per-stream counters below: the
     /// per-sub-request attribution path resolves `base{stream=N}` through
-    /// the registry's trivial-hash interned table instead of formatting
+    /// the registry's integer-hash interned table instead of formatting
     /// and re-hashing a `String` key per I/O. Sectors are attributed per
     /// sub-request, so the per-stream counters sum to the global
     /// `disk.sectors_*` exactly. Each stream present in a serviced batch
@@ -404,21 +404,25 @@ impl Disk {
                 Some(data)
             }
             DiskOp::Write => {
-                let ssz = self.inner.params.geometry.sector_size as usize;
-                let mut payload = Vec::with_capacity(span_sectors as usize * ssz);
+                self.media_write(span_lba, span_sectors).await;
+                // Each sub-request's own payload goes to the platters: a
+                // coalesced batch is contiguous, so there is nothing to
+                // gather into one buffer first.
+                let mut store = self.inner.store.borrow_mut();
                 for q in &batch {
                     match q.req.data.as_deref() {
-                        Some(d) => payload.extend_from_slice(d),
+                        Some(d) => store.write(q.req.lba, q.req.nsect, d),
                         None => {
                             // Upstream bug (submit validates this); the
                             // debug build trips, the release build writes
                             // zeros of the right length instead of dying.
                             debug_assert!(false, "write request without payload");
-                            payload.resize(payload.len() + q.req.nsect as usize * ssz, 0);
+                            let ssz = self.inner.params.geometry.sector_size as usize;
+                            let zeros = vec![0; q.req.nsect as usize * ssz];
+                            store.write(q.req.lba, q.req.nsect, &zeros);
                         }
                     }
                 }
-                self.media_write(span_lba, span_sectors, &payload).await;
                 None
             }
         };
@@ -482,13 +486,20 @@ impl Disk {
                 m.stream_sectors(q.req.stream, op).add(q.req.nsect as u64);
             }
         }
-        // Complete every sub-request, slicing read data per requester.
+        // Complete every sub-request; a coalesced read hands each
+        // requester its slice of the batch's view (no bytes copied).
         let ssz = self.inner.params.geometry.sector_size as usize;
+        let whole = batch.len() == 1;
+        let mut span_data = span_data;
         for q in batch {
-            let data = span_data.as_ref().map(|d| {
-                let off = (q.req.lba - span_lba) as usize * ssz;
-                d[off..off + q.req.nsect as usize * ssz].to_vec()
-            });
+            let data = if whole {
+                span_data.take()
+            } else {
+                span_data.as_ref().map(|d| {
+                    let off = (q.req.lba - span_lba) as usize * ssz;
+                    d.slice(off, q.req.nsect as usize * ssz)
+                })
+            };
             q.slot.borrow_mut().result = Some(IoResult::ok(data, finished_at));
             q.event.signal();
         }
@@ -557,7 +568,7 @@ impl Disk {
         }
     }
 
-    async fn media_read(&self, lba: u64, nsect: u32, stream: u32, svc: SpanId) -> Vec<u8> {
+    async fn media_read(&self, lba: u64, nsect: u32, stream: u32, svc: SpanId) -> DataView {
         let g = self.inner.params.geometry.clone();
         let mut remaining = nsect;
         let mut cur = lba;
@@ -642,7 +653,9 @@ impl Disk {
         self.inner.store.borrow().read(lba, nsect)
     }
 
-    async fn media_write(&self, lba: u64, nsect: u32, data: &[u8]) {
+    /// Moves the mechanism through a write of `[lba, lba + nsect)`; the
+    /// caller stores the bytes once the transfer is over.
+    async fn media_write(&self, lba: u64, nsect: u32) {
         let g = self.inner.params.geometry.clone();
         let mut remaining = nsect;
         let mut cur = lba;
@@ -671,7 +684,6 @@ impl Disk {
             cur += run as u64;
             remaining -= run;
         }
-        self.inner.store.borrow_mut().write(lba, nsect, data);
     }
 }
 

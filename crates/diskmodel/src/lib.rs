@@ -35,7 +35,7 @@ pub use disk::{Disk, DiskParams, DiskStats, SeekModel};
 pub use fault::{FaultDevice, FaultParseError, FaultPlan, ReplayWrite, SpindleFaults};
 pub use geometry::{Chs, Geometry, Zone};
 pub use request::{handle_pair, DiskOp, DiskRequest, IoCompletion, IoHandle, IoResult, IoStatus};
-pub use store::SectorStore;
+pub use store::{DataView, SectorStore};
 
 use simkit::SimDuration;
 

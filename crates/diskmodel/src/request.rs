@@ -5,6 +5,8 @@ use std::rc::Rc;
 
 use simkit::{Event, SimTime, SpanId};
 
+use crate::store::DataView;
+
 /// Direction of a transfer.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum DiskOp {
@@ -68,8 +70,9 @@ impl IoStatus {
 /// Completion record delivered when a request finishes.
 #[derive(Debug)]
 pub struct IoResult {
-    /// Data read from media (successful reads only; `None` on failure).
-    pub data: Option<Vec<u8>>,
+    /// Data read from media (successful reads only; `None` on failure): a
+    /// view sharing the platter image, copied out by the consumer.
+    pub data: Option<DataView>,
     /// Virtual time at which the transfer completed (or failed).
     pub finished_at: SimTime,
     /// Outcome of the transfer.
@@ -78,7 +81,7 @@ pub struct IoResult {
 
 impl IoResult {
     /// A successful completion at `finished_at` carrying `data`.
-    pub fn ok(data: Option<Vec<u8>>, finished_at: SimTime) -> IoResult {
+    pub fn ok(data: Option<DataView>, finished_at: SimTime) -> IoResult {
         IoResult {
             data,
             finished_at,

@@ -84,6 +84,14 @@ proptest! {
                 if !r.write {
                     let data = result.data.expect("reads return data");
                     assert_eq!(data.len(), r.nsect as usize * 512);
+                    // A read no write overlaps sees the blank platter,
+                    // whatever order the elevator serviced things in.
+                    let untouched = !reqs2.iter().any(|o| {
+                        o.write && o.lba < r.lba + r.nsect as u64 && r.lba < o.lba + o.nsect as u64
+                    });
+                    if untouched {
+                        assert!(data.into_vec().iter().all(|&b| b == 0), "read saw phantom data");
+                    }
                 }
             }
             // Verify final sector contents: replay the writes in submission

@@ -30,14 +30,13 @@
 //! simulated in full, because only the data path is measured.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use clufs::{DelayedWrite, PrefetchPolicy, WriteAction};
 use diskmodel::{BlockDeviceExt, SharedDevice};
 use pagecache::{PageCache, PageId, PageKey};
 use simkit::stats::{Counter, Gauge};
-use simkit::{Cpu, Sim, SpanId};
+use simkit::{Cpu, IntMap, Sim, SpanId};
 use ufs::CpuCosts;
 use vfs::iopath::{
     BlockMap, Executed, FileStream, IoCosts, IoIntent, IoPath, ReadReason, ReadRuns, WriteCluster,
@@ -172,7 +171,7 @@ struct Inner {
     data_start: u64,
     alloc: RefCell<BuddyAllocator>,
     inodes: RefCell<Vec<Option<ExtInode>>>,
-    open: RefCell<HashMap<u32, Rc<OpenState>>>,
+    open: RefCell<IntMap<u32, Rc<OpenState>>>,
     stats: RefCell<ExtentFsStats>,
     frag: FragGauges,
 }
@@ -294,7 +293,7 @@ impl ExtentFs {
                 data_start,
                 alloc: RefCell::new(BuddyAllocator::new(data_blocks)),
                 inodes: RefCell::new((0..ninodes).map(|_| None).collect()),
-                open: RefCell::new(HashMap::new()),
+                open: RefCell::default(),
                 stats: RefCell::new(ExtentFsStats::default()),
                 frag: FragGauges::new(sim),
             }),

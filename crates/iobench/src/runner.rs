@@ -183,29 +183,23 @@ impl<'a> Runner<'a> {
                     let (queue, done, next) = (&queue, &done, &next);
                     scope.spawn(move || {
                         perfmon::set_worker(w as u32);
-                        {
-                            let _lifetime = perfmon::phase("worker.lifetime");
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                if i >= n {
-                                    break;
-                                }
-                                let plan = {
-                                    let _pickup = perfmon::phase("runner.pickup");
-                                    perfmon::timed_lock(&queue[i], "lock.queue")
-                                        .take()
-                                        .expect("plan claimed twice")
-                                };
-                                let outcome = execute(spec, plan);
-                                *perfmon::timed_lock(&done[i], "lock.outcome") = Some(outcome);
+                        // Closing this outermost phase flushes the worker's
+                        // records, before `thread::scope` sees it finish.
+                        let _lifetime = perfmon::phase("worker.lifetime");
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= n {
+                                break;
                             }
+                            let plan = {
+                                let _pickup = perfmon::phase("runner.pickup");
+                                perfmon::timed_lock(&queue[i], "lock.queue")
+                                    .take()
+                                    .expect("plan claimed twice")
+                            };
+                            let outcome = execute(spec, plan);
+                            *perfmon::timed_lock(&done[i], "lock.outcome") = Some(outcome);
                         }
-                        // Flush before the closure returns: `thread::scope`
-                        // unblocks when the closure completes, but TLS
-                        // destructors (the flush-on-exit backstop) run
-                        // afterwards — a `take_records` right after the
-                        // scope would race them and miss this worker.
-                        perfmon::flush_thread();
                     });
                 }
             });

@@ -1,14 +1,14 @@
 //! The page name cache: `<vnode, offset>` → physical page.
 
 use std::cell::RefCell;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
 use simkit::stats::{Counter, Gauge, NameId};
-use simkit::{Notify, Sim, SimDuration, SpanId};
+use simkit::{IntMap, Notify, Sim, SimDuration, SpanId};
 
 /// Identifies a file for page naming purposes.
 pub type VnodeId = u64;
@@ -187,7 +187,7 @@ struct CacheMetrics {
     registry: simkit::stats::StatsRegistry,
     /// Interned `cache.hits`/`cache.misses` base names: per-stream lookup
     /// attribution ([`PageCache::lookup_for`]) resolves `base{stream=N}`
-    /// through the registry's trivial-hash interned table instead of
+    /// through the registry's integer-hash interned table instead of
     /// formatting and re-hashing a `String` per fault.
     hits_id: NameId,
     misses_id: NameId,
@@ -223,12 +223,12 @@ struct CacheInner {
     sim: Sim,
     params: PageCacheParams,
     pages: RefCell<Vec<Page>>,
-    hash: RefCell<HashMap<PageKey, usize>>,
+    hash: RefCell<IntMap<PageKey, usize>>,
     free: RefCell<FreeList>,
     /// Per-vnode index of dirty page offsets, kept in lockstep with the
     /// per-page dirty bits so [`PageCache::dirty_offsets`] reads the
     /// answer instead of scanning the whole name hash.
-    dirty: RefCell<HashMap<VnodeId, BTreeSet<u64>>>,
+    dirty: RefCell<IntMap<VnodeId, BTreeSet<u64>>>,
     /// Signaled whenever a page joins the free list (allocation stalls wait
     /// here).
     mem_notify: Notify,
@@ -285,9 +285,9 @@ impl PageCache {
                 sim: sim.clone(),
                 params,
                 pages: RefCell::new(pages),
-                hash: RefCell::new(HashMap::new()),
+                hash: RefCell::new(IntMap::default()),
                 free: RefCell::new(free),
-                dirty: RefCell::new(HashMap::new()),
+                dirty: RefCell::new(IntMap::default()),
                 mem_notify: Notify::new(),
                 pressure_notify: Notify::new(),
                 stats: RefCell::new(PageCacheStats::default()),
@@ -447,6 +447,21 @@ impl PageCache {
     /// the pageout daemon to free memory) as a retroactive
     /// `cache.alloc_stall` trace span for `stream` under `parent`.
     pub async fn create_traced(&self, key: PageKey, stream: u32, parent: SpanId) -> PageId {
+        self.create_inner(key, stream, parent, true).await
+    }
+
+    /// [`PageCache::create_traced`] for a page about to be filled whole
+    /// from disk: the frame is **not** zeroed, so until the caller fills
+    /// it the page holds whatever its previous identity left there. That
+    /// is safe because the page is returned busy and every reader waits
+    /// for busy to clear: the caller must overwrite every byte (see
+    /// [`PageCache::fill_with`]) before [`PageCache::unbusy`], or destroy
+    /// the page with [`PageCache::invalidate_page`] if the fill fails.
+    pub async fn create_for_fill(&self, key: PageKey, stream: u32, parent: SpanId) -> PageId {
+        self.create_inner(key, stream, parent, false).await
+    }
+
+    async fn create_inner(&self, key: PageKey, stream: u32, parent: SpanId, zero: bool) -> PageId {
         assert_eq!(
             key.offset % self.inner.params.page_size as u64,
             0,
@@ -508,7 +523,9 @@ impl PageCache {
             page.busy = true;
             page.dirty = false;
             page.referenced = true;
-            page.data.fill(0);
+            if zero {
+                page.data.fill(0);
+            }
             self.inner.hash.borrow_mut().insert(key, idx);
             self.inner.stats.borrow_mut().creates += 1;
             self.inner.metrics.creates.inc();
@@ -663,6 +680,14 @@ impl PageCache {
         self.with_page(id, f)
     }
 
+    /// Runs `f` over the whole page frame, mutably — how a completed read
+    /// fills a page straight from the device's data view. Like
+    /// [`PageCache::write_at`] it does not set the dirty flag.
+    pub fn fill_with<R>(&self, id: PageId, f: impl FnOnce(&mut [u8]) -> R) -> R {
+        self.check(id);
+        f(&mut self.inner.pages.borrow_mut()[id.idx].data)
+    }
+
     /// Overwrites page bytes at `off` (does NOT set the dirty flag — the
     /// caller decides, since fills from disk are not modifications).
     pub fn write_at(&self, id: PageId, off: usize, src: &[u8]) {
@@ -759,10 +784,10 @@ impl PageCache {
             .map(|(k, &i)| (*k, i))
             .collect();
         // Free pages in ascending offset order, not hash-iteration order:
-        // the free list feeds page reuse, so a RandomState-dependent order
-        // here would leak into which physical page holds which identity —
-        // and from there into pageout-daemon scan counts — making whole
-        // simulations differ between processes.
+        // the free list feeds page reuse, so a hash-dependent order here
+        // would leak into which physical page holds which identity — and
+        // from there into pageout-daemon scan counts — making the
+        // simulation depend on the hasher and the table's history.
         victims.sort_unstable_by_key(|&(k, _)| k.offset);
         for (key, idx) in victims {
             let mut pages = self.inner.pages.borrow_mut();
@@ -1003,6 +1028,44 @@ mod tests {
         assert_eq!(st.creates, 1);
         assert_eq!(st.hits, 1);
         assert_eq!(st.misses, 1);
+    }
+
+    #[test]
+    fn fill_creates_skip_zeroing_and_stay_busy_until_filled() {
+        let sim = Sim::new();
+        // One frame, so every create recycles it.
+        let pc = PageCache::new(
+            &sim,
+            PageCacheParams {
+                total_pages: 1,
+                page_size: 8192,
+                lotsfree: 0,
+            },
+        );
+        let pc2 = pc.clone();
+        sim.run_until(async move {
+            let id = pc2.create(key(1, 0)).await;
+            pc2.write_at(id, 0, &[0xab; 8192]);
+            pc2.unbusy(id);
+            pc2.free_page(id);
+            // The fill create leaves the old bytes; busy keeps them unseen.
+            let id = pc2.create_for_fill(key(2, 0), 0, SpanId::NONE).await;
+            assert!(pc2.is_busy(id));
+            pc2.with_page(id, |d| assert!(d.iter().all(|&b| b == 0xab)));
+            pc2.fill_with(id, |frame| frame.fill(0x5c));
+            pc2.unbusy(id);
+            let found = pc2.lookup(key(2, 0)).expect("filled page cached");
+            pc2.with_page(found, |d| assert!(d.iter().all(|&b| b == 0x5c)));
+            pc2.free_page(found);
+            // A failed fill destroys the page; the next plain create zeroes.
+            let id = pc2.create_for_fill(key(3, 0), 0, SpanId::NONE).await;
+            pc2.invalidate_page(id);
+            assert!(pc2.lookup(key(3, 0)).is_none(), "failed fill left a name");
+            let id = pc2.create(key(4, 0)).await;
+            pc2.with_page(id, |d| assert!(d.iter().all(|&b| b == 0)));
+            pc2.unbusy(id);
+            pc2.assert_consistent();
+        });
     }
 
     #[test]

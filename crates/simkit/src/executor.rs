@@ -33,7 +33,7 @@ use std::task::{Context, Poll, Wake, Waker};
 use crate::perfmon::Telemetry;
 use crate::stats::StatsRegistry;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{Recorder, Tracer};
+use crate::trace::Tracer;
 
 /// Identifies a spawned task within one [`Sim`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -96,7 +96,7 @@ impl PartialOrd for TimerEntry {
 /// A read-only handle to a [`Sim`]'s virtual clock.
 ///
 /// Long-lived observers stored *inside* the executor (the metrics
-/// registry, shared [`Recorder`]s) hold this instead of a full `Sim`,
+/// registry, the span tracer) hold this instead of a full `Sim`,
 /// which would create an `Rc` cycle through `Inner`.
 #[derive(Clone)]
 pub struct TimeHandle {
@@ -226,12 +226,6 @@ impl Sim {
     /// [`crate::perfmon`].
     pub fn telemetry(&self) -> &Telemetry {
         &self.inner.telemetry
-    }
-
-    /// The shared event recorder for event type `E`, registered on first
-    /// use. Equivalent to `sim.stats().recorder::<E>()`.
-    pub fn recorder<E: 'static>(&self) -> Recorder<E> {
-        self.inner.stats.recorder::<E>()
     }
 
     /// Spawns a task and returns a handle that can be awaited for its result.

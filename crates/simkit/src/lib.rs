@@ -19,9 +19,10 @@
 //! - [`sync::Semaphore`] — FIFO counting semaphore (the paper's write limit)
 //! - [`channel()`] — mpsc work queues (e.g. dirty-page cleaner)
 //! - [`Cpu`] — serialized compute-time charging with per-tag accounting
-//! - [`Recorder`] — timestamped event logs for trace-exact tests
 //! - [`Tracer`] — per-request span tracing across layers (zero-cost when
 //!   disabled), behind `iobench --trace`
+//! - [`hash`] — the one deterministic hasher behind every integer-keyed
+//!   index ([`IntMap`], [`IntSet`])
 //! - [`stats`] — the per-`Sim` metrics registry (counters, gauges,
 //!   histograms, time-weighted means) with deterministic JSON snapshots
 //! - [`perfmon`] — the host-side observatory: wall-clock phase profiler
@@ -37,6 +38,7 @@
 pub mod channel;
 pub mod cpu;
 pub mod executor;
+pub mod hash;
 pub mod host;
 pub mod perfmon;
 pub mod rng;
@@ -48,10 +50,11 @@ pub mod trace;
 pub use channel::{channel, Receiver, SendError, Sender};
 pub use cpu::{Cpu, TagStat};
 pub use executor::{JoinHandle, Sim, Sleep, TaskId, TimeHandle, YieldNow};
+pub use hash::{IntMap, IntSet};
 pub use host::tune_host_allocator;
 pub use perfmon::{PhaseGuard, PhaseRecord, Telemetry};
 pub use rng::SimRng;
 pub use stats::{Counter, Gauge, Histogram, NameId, StatsRegistry, TimeWeighted};
 pub use sync::{Event, Notify, SemPermit, Semaphore};
 pub use time::{SimDuration, SimTime};
-pub use trace::{Recorder, Span, SpanId, Tracer};
+pub use trace::{Span, SpanId, Tracer};

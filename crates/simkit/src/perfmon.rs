@@ -8,11 +8,12 @@
 //! 1. **Wall-clock phase profiler** (process-global, off by default):
 //!    [`phase`] opens a named wall-clock span on the current thread;
 //!    records land in a per-thread buffer (no locking on the record path)
-//!    and are merged post-run by [`take_records`]. Each record also carries
-//!    the thread's allocation delta over the span (see [`CountingAlloc`])
-//!    so allocation churn can be attributed to phases. [`timed_lock`] is a
-//!    contention probe: it times a `Mutex` acquisition and records the
-//!    wait, but only when the lock was actually contended.
+//!    that moves to the process-wide collector when the thread's outermost
+//!    phase closes, and are merged post-run by [`take_records`]. Each
+//!    record also carries the thread's allocation delta over the span (see
+//!    [`CountingAlloc`]) so allocation churn can be attributed to phases.
+//!    [`timed_lock`] is a contention probe: it times a `Mutex` acquisition
+//!    and records the wait, but only when the lock was actually contended.
 //!
 //! 2. **Virtual-time telemetry sampler** ([`Telemetry`], per-[`Sim`]):
 //!    a simulated task that periodically snapshots every numeric metric in
@@ -84,6 +85,13 @@ impl PhaseRecord {
 
 struct ThreadBuf {
     worker: Cell<u32>,
+    /// Armed phases open on this thread. Records stay buffered while it is
+    /// non-zero and are flushed the moment it returns to zero, so a
+    /// thread's records reach the collector before its closure returns —
+    /// and so before `thread::scope` (or `join`) reports it finished. A
+    /// thread-exit destructor cannot give that guarantee: std runs TLS
+    /// destructors after the scope has already observed the thread done.
+    depth: Cell<u32>,
     records: RefCell<Vec<PhaseRecord>>,
 }
 
@@ -91,24 +99,14 @@ impl ThreadBuf {
     const fn new() -> ThreadBuf {
         ThreadBuf {
             worker: Cell::new(MAIN_THREAD),
+            depth: Cell::new(0),
             records: RefCell::new(Vec::new()),
         }
     }
 }
 
-/// Flushes the thread's buffered records into the global collector when
-/// the thread exits, so worker-thread profiles survive the join.
-struct FlushOnExit;
-
-impl Drop for FlushOnExit {
-    fn drop(&mut self) {
-        flush_thread();
-    }
-}
-
 thread_local! {
     static BUF: ThreadBuf = const { ThreadBuf::new() };
-    static FLUSH: RefCell<Option<FlushOnExit>> = const { RefCell::new(None) };
 }
 
 fn collector() -> &'static Mutex<Vec<PhaseRecord>> {
@@ -183,6 +181,7 @@ fn phase_inner(name: &'static str, label: Option<Box<str>>) -> PhaseGuard {
         };
     }
     let (allocs0, bytes0) = thread_alloc_counts();
+    let _ = BUF.try_with(|b| b.depth.set(b.depth.get() + 1));
     PhaseGuard {
         name,
         label,
@@ -211,32 +210,31 @@ impl Drop for PhaseGuard {
             allocs: allocs1.saturating_sub(self.allocs0),
             alloc_bytes: bytes1.saturating_sub(self.bytes0),
         };
+        let _ = BUF.try_with(|b| b.depth.set(b.depth.get().saturating_sub(1)));
         push_record(rec);
     }
 }
 
+/// Buffers `rec` on this thread, flushing the buffer to the collector when
+/// no phase is open any more (the outermost phase just closed, or `rec`
+/// was recorded outside every phase).
 fn push_record(mut rec: PhaseRecord) {
     // `try_with`: never panic if the thread is already tearing down.
-    let _ = BUF.try_with(|b| {
-        rec.worker = b.worker.get();
-        let mut records = b.records.borrow_mut();
-        if records.len() >= THREAD_BUF_CAP {
-            DROPPED.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        if records.is_empty() {
-            // First record on this thread: arm the exit flush. Only when
-            // not already armed — overwriting would drop the old armer,
-            // re-entering `flush_thread` while `records` is borrowed.
-            let _ = FLUSH.try_with(|f| {
-                let mut slot = f.borrow_mut();
-                if slot.is_none() {
-                    *slot = Some(FlushOnExit);
-                }
-            });
-        }
-        records.push(rec);
-    });
+    let outermost = BUF
+        .try_with(|b| {
+            rec.worker = b.worker.get();
+            let mut records = b.records.borrow_mut();
+            if records.len() >= THREAD_BUF_CAP {
+                DROPPED.fetch_add(1, Ordering::Relaxed);
+            } else {
+                records.push(rec);
+            }
+            b.depth.get() == 0
+        })
+        .unwrap_or(false);
+    if outermost {
+        flush_thread();
+    }
 }
 
 /// Records an already-measured interval (used by [`timed_lock`] and by
@@ -257,8 +255,8 @@ pub fn record(name: &'static str, start_ns: u64, end_ns: u64) {
 }
 
 /// Pushes the current thread's buffered records into the global collector.
-/// Worker threads flush automatically on exit; the main thread should call
-/// this (via [`take_records`]) before building a report.
+/// Closing a thread's outermost phase already does this; [`take_records`]
+/// calls it too, for records still buffered under a phase that is open.
 pub fn flush_thread() {
     let drained: Vec<PhaseRecord> = BUF
         .try_with(|b| std::mem::take(&mut *b.records.borrow_mut()))
@@ -506,8 +504,18 @@ mod tests {
     use super::*;
     use crate::{Sim, SimDuration};
 
+    /// The profiler's switch and collector are process-wide: tests that
+    /// arm, disarm or drain them take this lock so the default parallel
+    /// test runner cannot interleave them.
+    static PROFILER: Mutex<()> = Mutex::new(());
+
+    fn profiler_lock() -> MutexGuard<'static, ()> {
+        PROFILER.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn phases_record_on_named_workers_and_merge() {
+        let _serialize = profiler_lock();
         set_enabled(true);
         let _ = take_records(); // Discard records from other tests.
         {
@@ -532,6 +540,7 @@ mod tests {
 
     #[test]
     fn disabled_profiler_records_nothing() {
+        let _serialize = profiler_lock();
         set_enabled(false);
         {
             let _g = phase("test.ghost");
@@ -542,6 +551,39 @@ mod tests {
             records.iter().all(|r| !r.name.starts_with("test.ghost")),
             "disabled profiler must not record"
         );
+    }
+
+    #[test]
+    fn outermost_phase_close_flushes_to_the_collector() {
+        let _serialize = profiler_lock();
+        set_enabled(true);
+        let _ = take_records();
+        let (outer, inner) = std::thread::scope(|s| {
+            s.spawn(|| {
+                let outer = phase("test.flush.outer");
+                drop(phase("test.flush.inner"));
+                // Nested close: still buffered on this thread.
+                let inner = collector()
+                    .lock()
+                    .unwrap()
+                    .iter()
+                    .any(|r| r.name == "test.flush.inner");
+                drop(outer);
+                // Outermost close: in the collector before the thread ends.
+                let outer = collector()
+                    .lock()
+                    .unwrap()
+                    .iter()
+                    .any(|r| r.name == "test.flush.outer");
+                (outer, inner)
+            })
+            .join()
+            .unwrap()
+        });
+        let _ = take_records();
+        set_enabled(false);
+        assert!(!inner, "nested phase flushed before the outermost closed");
+        assert!(outer, "outermost phase close did not flush");
     }
 
     #[test]

@@ -26,16 +26,14 @@
 //! byte-identical snapshots. The schema is documented in DESIGN.md
 //! ("Observability") and asserted stable by tests.
 
-use std::any::{Any, TypeId};
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
 use crate::executor::TimeHandle;
+use crate::hash::IntMap;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::Recorder;
 
 /// A monotonically increasing counter.
 #[derive(Clone)]
@@ -263,35 +261,9 @@ impl Metric {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct NameId(u32);
 
-/// Identity hasher for pre-packed `u64` keys: the `(NameId, stream)` pair
-/// is already a well-distributed small integer, so SipHash would be pure
-/// overhead on the per-I/O metric path.
-#[derive(Default)]
-struct PackedKeyHasher(u64);
-
-impl Hasher for PackedKeyHasher {
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("packed keys hash through write_u64");
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        // Cheap integer scramble (splitmix64 finalizer) so sequential
-        // stream ids don't all land in neighbouring buckets.
-        let mut z = n.wrapping_add(0x9e3779b97f4a7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        self.0 = z ^ (z >> 31);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 struct RegistryInner {
     time: TimeHandle,
     metrics: RefCell<BTreeMap<String, Metric>>,
-    recorders: RefCell<HashMap<TypeId, Box<dyn Any>>>,
     /// Next stream label handed out by [`StatsRegistry::alloc_stream`].
     /// Stream 0 is reserved for untagged (background/metadata) I/O.
     next_stream: Cell<u32>,
@@ -301,8 +273,8 @@ struct RegistryInner {
     interned_ids: RefCell<HashMap<&'static str, u32>>,
     /// `(NameId, stream)` → metric handle, keyed by the packed pair.
     /// This is the hot-path cache: after first registration a labelled
-    /// lookup is one trivial-hash probe with no allocation.
-    labelled: RefCell<HashMap<u64, Metric, BuildHasherDefault<PackedKeyHasher>>>,
+    /// lookup is one integer-hash probe with no allocation.
+    labelled: RefCell<IntMap<u64, Metric>>,
 }
 
 fn packed_key(name: NameId, stream: u32) -> u64 {
@@ -322,11 +294,10 @@ impl StatsRegistry {
             inner: Rc::new(RegistryInner {
                 time,
                 metrics: RefCell::new(BTreeMap::new()),
-                recorders: RefCell::new(HashMap::new()),
                 next_stream: Cell::new(1),
                 interned: RefCell::new(Vec::new()),
                 interned_ids: RefCell::new(HashMap::new()),
-                labelled: RefCell::new(HashMap::default()),
+                labelled: RefCell::new(IntMap::default()),
             }),
         }
     }
@@ -372,7 +343,7 @@ impl StatsRegistry {
     }
 
     /// [`StatsRegistry::stream_counter`] over an interned base name: after
-    /// the first call per `(name, stream)` pair this is one trivial-hash
+    /// the first call per `(name, stream)` pair this is one integer-hash
     /// table probe — no `format!`, no `String` hashing.
     pub fn stream_counter_id(&self, name: NameId, stream: u32) -> Counter {
         match self.labelled_metric(name, stream, |base| {
@@ -553,19 +524,6 @@ impl StatsRegistry {
             Some(Metric::Histogram(h)) => Some((h.count(), h.sum())),
             _ => None,
         }
-    }
-
-    /// The shared, type-indexed [`Recorder`] for event type `E`: every
-    /// call with the same `E` returns a clone of one underlying log, so
-    /// experiments no longer hand-thread `Recorder::new(&sim)` clones.
-    pub fn recorder<E: 'static>(&self) -> Recorder<E> {
-        let mut map = self.inner.recorders.borrow_mut();
-        let slot = map
-            .entry(TypeId::of::<Recorder<E>>())
-            .or_insert_with(|| Box::new(Recorder::<E>::with_time(self.inner.time.clone())));
-        slot.downcast_ref::<Recorder<E>>()
-            .expect("recorder typemap entry has the keyed type")
-            .clone()
     }
 
     /// Reads a counter's value by name (0 if absent). Intended for tests
@@ -875,24 +833,5 @@ mod tests {
             Some((1, 6))
         );
         assert_eq!(sim.stats().histogram_totals("absent"), None);
-    }
-
-    #[test]
-    fn shared_recorder_keeps_take_semantics() {
-        let sim = Sim::new();
-        let rec = sim.recorder::<&'static str>();
-        let rec2 = sim.recorder::<&'static str>();
-        rec.record("one");
-        rec2.record("two");
-        // Both handles see one shared log, typed by E.
-        assert_eq!(rec.events(), vec!["one", "two"]);
-        let drained = rec.take();
-        assert_eq!(drained.len(), 2);
-        assert!(rec2.is_empty());
-        // A different event type gets a different log.
-        let other = sim.recorder::<u32>();
-        other.record(7);
-        assert_eq!(other.len(), 1);
-        assert!(rec.is_empty());
     }
 }

@@ -2,14 +2,13 @@
 //! metadata buffer cache, and the dirty-page cleaner.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use clufs::{BmapCache, DelayedWrite, FreeBehindPolicy, PrefetchPolicy, Tuning};
 use diskmodel::{BlockDeviceExt, DiskOp, DiskRequest, SharedDevice};
 use pagecache::{CleanRequest, PageCache, VnodeId};
 use simkit::stats::{Counter, Histogram};
-use simkit::{Cpu, Notify, Receiver, Sim, SimDuration};
+use simkit::{Cpu, IntMap, Notify, Receiver, Sim, SimDuration};
 use vfs::iopath::{FileStream, IoCosts, IoPath};
 use vfs::{FsError, FsResult};
 
@@ -217,9 +216,9 @@ pub(crate) struct UfsInner {
     pub(crate) sb_dirty: Cell<bool>,
     /// Write-back cache of metadata blocks (inode table blocks, indirect
     /// blocks, directory blocks), keyed by physical block.
-    pub(crate) meta: RefCell<HashMap<u64, Rc<RefCell<Vec<u8>>>>>,
+    pub(crate) meta: RefCell<IntMap<u64, Rc<RefCell<Vec<u8>>>>>,
     pub(crate) meta_dirty: RefCell<std::collections::BTreeSet<u64>>,
-    pub(crate) inodes: RefCell<HashMap<u32, Rc<Incore>>>,
+    pub(crate) inodes: RefCell<IntMap<u32, Rc<Incore>>>,
     pub(crate) stats: RefCell<UfsStats>,
     pub(crate) metrics: UfsMetrics,
     /// Shared I/O executor: resolves `IoIntent`s against the cache and
@@ -314,9 +313,9 @@ impl Ufs {
                 cgs: RefCell::new(cgs),
                 cgs_dirty: RefCell::new(vec![false; ncg]),
                 sb_dirty: Cell::new(true),
-                meta: RefCell::new(HashMap::new()),
+                meta: RefCell::default(),
                 meta_dirty: RefCell::new(std::collections::BTreeSet::new()),
-                inodes: RefCell::new(HashMap::new()),
+                inodes: RefCell::default(),
                 stats: RefCell::new(UfsStats::default()),
                 metrics: UfsMetrics::new(sim),
                 iopath,

@@ -17,15 +17,14 @@
 //! `core.throttle_stalls{stream=N}`, `iopath.cluster_*_blocks{stream=N}`).
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::rc::Rc;
 
 use clufs::{PrefetchPlan, PrefetchPolicy, Prefetcher, WriteThrottle};
-use diskmodel::{IoHandle, IoStatus, SharedDevice};
+use diskmodel::{DataView, IoHandle, IoStatus, SharedDevice};
 use pagecache::{PageCache, PageId, PageKey};
 use simkit::stats::{Counter, Histogram};
-use simkit::{Cpu, Notify, Sim, SimDuration, SpanId};
+use simkit::{Cpu, IntMap, IntSet, Notify, Sim, SimDuration, SpanId};
 
 use crate::{FsError, FsResult, StreamId, VnodeId};
 
@@ -340,11 +339,11 @@ struct IoPathInner {
     /// (feeds the "readahead used" accounting in the caller). Shared with
     /// the page cache's recycle hook, which counts unclaimed prefetched
     /// pages as wasted when their identity is destroyed.
-    ra_pending: Rc<RefCell<HashSet<PageKey>>>,
-    streams: RefCell<HashMap<u32, PerStream>>,
+    ra_pending: Rc<RefCell<IntSet<PageKey>>>,
+    streams: RefCell<IntMap<u32, PerStream>>,
     /// Per-stream prefetch engines (the adaptive-readahead state the
     /// mounts used to keep in their in-core inodes).
-    prefetchers: RefCell<HashMap<u32, Prefetcher>>,
+    prefetchers: RefCell<IntMap<u32, Prefetcher>>,
     /// Policy new streams start under (set once at mount).
     prefetch_policy: Cell<PrefetchPolicy>,
     /// The mount's I/O unit in blocks — the adaptive engine's distance
@@ -394,7 +393,7 @@ impl IoPath {
             wasted: s.counter("io.prefetch_wasted_bytes"),
             distance: s.histogram("io.prefetch_distance", &Self::LEN_EDGES),
         };
-        let ra_pending: Rc<RefCell<HashSet<PageKey>>> = Rc::new(RefCell::new(HashSet::new()));
+        let ra_pending: Rc<RefCell<IntSet<PageKey>>> = Rc::default();
         // Wasted-prefetch accounting: a page read ahead but never claimed
         // by a demand access still holds its claim when the cache recycles
         // its identity — those bytes moved for nothing.
@@ -418,8 +417,8 @@ impl IoPath {
                 block_size,
                 sectors_per_block: (block_size / sector) as u32,
                 ra_pending,
-                streams: RefCell::new(HashMap::new()),
-                prefetchers: RefCell::new(HashMap::new()),
+                streams: RefCell::default(),
+                prefetchers: RefCell::default(),
                 prefetch_policy: Cell::new(PrefetchPolicy::Fixed),
                 prefetch_unit: Cell::new(1),
                 pf,
@@ -533,7 +532,7 @@ impl IoPath {
         nsect: u32,
         stream: u32,
         parent: SpanId,
-    ) -> FsResult<Vec<u8>> {
+    ) -> FsResult<DataView> {
         let inner = &*self.inner;
         let mut attempt = 0u32;
         loop {
@@ -699,7 +698,9 @@ impl IoPath {
             if inner.cache.lookup(key).is_some() {
                 break; // Already resident: clip the cluster here.
             }
-            let id = inner.cache.create_traced(key, stream, span).await;
+            // Unzeroed: the read fills every byte before the page leaves
+            // busy, and a failed read invalidates it.
+            let id = inner.cache.create_for_fill(key, stream, span).await;
             // The page identity is fresh; drop any stale read-ahead claim
             // a recycled predecessor left behind.
             inner.ra_pending.borrow_mut().remove(&key);
@@ -787,7 +788,9 @@ impl IoPath {
             if inner.cache.lookup(key).is_some() {
                 break; // Already resident: clip the batch here.
             }
-            let id = inner.cache.create_traced(key, stream, span).await;
+            // Unzeroed: the read fills every byte before the page leaves
+            // busy, and a failed read invalidates it.
+            let id = inner.cache.create_for_fill(key, stream, span).await;
             // The page identity is fresh; drop any stale read-ahead claim
             // a recycled predecessor left behind.
             inner.ra_pending.borrow_mut().remove(&key);
@@ -889,7 +892,9 @@ impl IoPath {
             match res {
                 Ok(data) => {
                     for (i, (run_lbn, id)) in part.pages.iter().enumerate() {
-                        inner.cache.write_at(*id, 0, &data[i * bs..(i + 1) * bs]);
+                        inner
+                            .cache
+                            .fill_with(*id, |frame| data.copy_to(i * bs, frame));
                         if *run_lbn == want_lbn {
                             // Stays busy until the whole batch lands: a later
                             // part's await must not let pageout recycle the page
@@ -947,7 +952,9 @@ impl IoPath {
                 match res {
                     Ok(data) => {
                         for (i, (_lbn, id)) in part.pages.iter().enumerate() {
-                            inner.cache.write_at(*id, 0, &data[i * bs..(i + 1) * bs]);
+                            inner
+                                .cache
+                                .fill_with(*id, |frame| data.copy_to(i * bs, frame));
                             inner.cache.unbusy(*id);
                         }
                     }
@@ -982,7 +989,9 @@ impl IoPath {
         let bs = inner.block_size;
         let mut want = None;
         for (i, (run_lbn, id)) in io.pages.iter().enumerate() {
-            inner.cache.write_at(*id, 0, &data[i * bs..(i + 1) * bs]);
+            inner
+                .cache
+                .fill_with(*id, |frame| data.copy_to(i * bs, frame));
             inner.cache.unbusy(*id);
             if *run_lbn == want_lbn {
                 want = Some(*id);
@@ -1007,7 +1016,9 @@ impl IoPath {
                 Ok(data) => {
                     let bs = inner.block_size;
                     for (i, (_lbn, id)) in io.pages.iter().enumerate() {
-                        inner.cache.write_at(*id, 0, &data[i * bs..(i + 1) * bs]);
+                        inner
+                            .cache
+                            .fill_with(*id, |frame| data.copy_to(i * bs, frame));
                         inner.cache.unbusy(*id);
                     }
                 }

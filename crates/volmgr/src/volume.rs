@@ -50,7 +50,7 @@
 //!   row it may have reconstructed from a stale snapshot.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -58,10 +58,10 @@ use std::task::{Context, Poll, Waker};
 
 use diskmodel::request::handle_pair;
 use diskmodel::{
-    BlockDevice, BlockDeviceExt, Disk, DiskOp, DiskParams, DiskRequest, DiskStats, IoCompletion,
-    IoHandle, IoResult, IoStatus, SharedDevice, EXT_RETRIES,
+    BlockDevice, BlockDeviceExt, DataView, Disk, DiskOp, DiskParams, DiskRequest, DiskStats,
+    IoCompletion, IoHandle, IoResult, IoStatus, SharedDevice, EXT_RETRIES,
 };
-use simkit::{Sim, SpanId};
+use simkit::{IntSet, Sim, SpanId};
 
 use crate::spec::{RaidLevel, VolumeSpec};
 
@@ -142,13 +142,13 @@ struct VolInner {
     next_mirror: Cell<usize>,
     /// Rows (RAID-5) / copy chunks (RAID-1) written while a spindle is
     /// rebuilding: the sweep re-does any unit whose snapshot may be stale.
-    rebuild_dirty: RefCell<HashSet<u64>>,
+    rebuild_dirty: RefCell<IntSet<u64>>,
     /// RAID-5 rows with a parity read-modify-write (or a reconstructing
     /// read) in flight. Concurrent writers to one row must serialize, or
     /// both read the old parity and the later write-back erases the
     /// earlier delta — the parity write hole, invisible until a spindle
     /// dies and reconstruction XORs against the stale parity.
-    locked_rows: RefCell<HashSet<u64>>,
+    locked_rows: RefCell<IntSet<u64>>,
     /// Tasks waiting for any row lock to release.
     row_waiters: RefCell<Vec<Waker>>,
 }
@@ -209,8 +209,8 @@ impl Volume {
                 stripe_sectors,
                 total_sectors,
                 next_mirror: Cell::new(0),
-                rebuild_dirty: RefCell::new(HashSet::new()),
-                locked_rows: RefCell::new(HashSet::new()),
+                rebuild_dirty: RefCell::new(IntSet::default()),
+                locked_rows: RefCell::new(IntSet::default()),
                 row_waiters: RefCell::new(Vec::new()),
             }),
         }
@@ -398,7 +398,7 @@ impl Volume {
         req: &DiskRequest,
         svc: SpanId,
         why: IoStatus,
-    ) -> Result<Vec<u8>, IoStatus> {
+    ) -> Result<DataView, IoStatus> {
         self.inner.sim.stats().counter("vol.degraded_reads").inc();
         let n = self.spindles();
         match self.inner.spec.level {
@@ -448,11 +448,7 @@ impl Volume {
                     let res = h.wait().await;
                     self.inner.sim.tracer().end(sp);
                     match res.status {
-                        IoStatus::Ok => {
-                            for (a, b) in acc.iter_mut().zip(res.data.expect("read returns data")) {
-                                *a ^= b;
-                            }
-                        }
+                        IoStatus::Ok => res.data.expect("read returns data").xor_into(&mut acc),
                         st => {
                             if st == IoStatus::DeviceGone {
                                 self.mark_dead(j);
@@ -463,7 +459,7 @@ impl Volume {
                 }
                 match failed {
                     Some(st) => Err(st),
-                    None => Ok(acc),
+                    None => Ok(DataView::from_vec(acc)),
                 }
             }
         }
@@ -471,8 +467,9 @@ impl Volume {
 
     async fn read_fan(&self, req: DiskRequest, ios: Vec<ChildIo>, completion: IoCompletion) {
         let svc = self.start_span("vol.read", &req);
-        let ssz = self.inner.sector_size as usize;
-        let mut buf = vec![0u8; req.nsect as usize * ssz];
+        // The volume's bytes are assembled from the children's views, not
+        // copied: each piece is a slice of one child's read.
+        let mut parts: Vec<(usize, DataView)> = Vec::new();
         // Submit to every healthy home spindle up front; known-bad homes
         // go straight to recovery when their turn comes.
         let pending: Vec<(ChildIo, Option<(IoHandle, SpanId)>)> = ios
@@ -508,9 +505,9 @@ impl Volume {
             match got {
                 Ok(data) => {
                     let mut src = 0;
-                    for (off, len) in &io.pieces {
-                        buf[*off..*off + *len].copy_from_slice(&data[src..src + *len]);
-                        src += *len;
+                    for &(off, len) in &io.pieces {
+                        parts.push((off, data.slice(src, len)));
+                        src += len;
                     }
                 }
                 Err(st) => failed = Some(st),
@@ -520,7 +517,16 @@ impl Volume {
         let now = self.inner.sim.now();
         completion.complete(match failed {
             Some(st) => IoResult::error(st, now),
-            None => IoResult::ok(Some(buf), now),
+            None => {
+                // The pieces tile the request; put them in volume order.
+                parts.sort_unstable_by_key(|&(off, _)| off);
+                let data = DataView::concat(parts.into_iter().map(|(_, v)| v));
+                debug_assert_eq!(
+                    data.len(),
+                    req.nsect as usize * self.inner.sector_size as usize
+                );
+                IoResult::ok(Some(data), now)
+            }
         });
     }
 
@@ -729,7 +735,7 @@ impl Volume {
         let mut phase1_failed = false;
         for (&row, rr) in &mut reads {
             let pieces = &rows[&row];
-            let mut old = Vec::new();
+            let mut old: Vec<DataView> = Vec::new();
             for (h, sp) in rr.handles.drain(..) {
                 let res = h.wait().await;
                 self.inner.sim.tracer().end(sp);
@@ -748,14 +754,16 @@ impl Volume {
                 break;
             }
             let old_parity = old.pop().expect("parity read present");
-            let mut delta = old_parity;
+            let mut delta = old_parity.into_vec();
             // delta starts as the old parity; XOR in old^new under each
             // piece, leaving uncovered bytes unchanged.
             for (p, old_data) in pieces.iter().zip(&old) {
                 let base = (p.intra - rr.lo) as usize * ssz;
                 let new_data = &payload[p.buf_off..p.buf_off + p.nsect as usize * ssz];
-                for i in 0..new_data.len() {
-                    delta[base + i] ^= old_data[i] ^ new_data[i];
+                let under = &mut delta[base..base + new_data.len()];
+                old_data.xor_into(under);
+                for (d, n) in under.iter_mut().zip(new_data) {
+                    *d ^= n;
                 }
             }
             parity_writes.insert(row, (row * stripe as u64 + rr.lo, delta));
@@ -920,7 +928,9 @@ impl Volume {
                 let res = h.wait().await;
                 self.inner.sim.tracer().end(sp);
                 match res.status {
-                    IoStatus::Ok => chunks[j] = Some(res.data.expect("read returns data")),
+                    IoStatus::Ok => {
+                        chunks[j] = Some(res.data.expect("read returns data").into_vec())
+                    }
                     st => {
                         if st == IoStatus::DeviceGone {
                             self.mark_dead(j);
