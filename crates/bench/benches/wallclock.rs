@@ -3,10 +3,9 @@
 //! `BENCH_iobench.json` (schema `iobench-bench/v3`, documented in
 //! DESIGN.md "Wall-clock performance").
 //!
-//! Unlike the criterion benches (virtual-time artifact regeneration), this
-//! harness answers "how long does the simulator take on this machine" —
-//! the number the hot-path optimizations and the `--jobs` fan-out move —
-//! and measures the parallel speedup of the Figure 10 matrix at jobs=1 vs
+//! Where `iobench` reports virtual time, this harness answers "how long
+//! does the simulator take on this machine" — the number the hot-path
+//! optimizations and the `--jobs` fan-out move — and measures the parallel speedup of the Figure 10 matrix at jobs=1 vs
 //! jobs=N on the current host. After the timed loops, one extra
 //! profiler-instrumented pass (`simkit::perfmon`) captures per-worker
 //! busy/idle utilization, so a disappointing speedup arrives with its

@@ -1,11 +1,8 @@
 //! # bench — benchmark harness crate
 //!
-//! - `benches/policies.rs` — Criterion micro-benches of the clustering
-//!   policy engines.
-//! - `benches/substrate.rs` — executor, disk mechanism and page cache.
-//! - `benches/filesystem.rs` — end-to-end UFS data/namespace paths.
-//! - `benches/tables.rs` — one bench per paper table/figure at CI scale
-//!   (also prints the regenerated tables once per run).
+//! - `benches/wallclock.rs` — the wall-clock suite behind
+//!   `scripts/bench.sh`: times canonical `iobench` runs and writes
+//!   `BENCH_iobench.json`.
 //! - `src/bin/figures.rs` — regenerates the paper's illustrative Figures
 //!   2–8 as ASCII from the live engines.
 //!

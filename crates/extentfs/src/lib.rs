@@ -39,8 +39,8 @@ use simkit::stats::{Counter, Gauge};
 use simkit::{Cpu, IntMap, Sim, SpanId};
 use ufs::CpuCosts;
 use vfs::iopath::{
-    BlockMap, Executed, FileStream, IoCosts, IoIntent, IoPath, ReadReason, ReadRuns, WriteCluster,
-    WriteReason,
+    BlockMap, Executed, FileStream, IoCosts, IoIntent, IoPath, Probes, ReadReason, ReadRuns,
+    WriteCluster, WriteReason,
 };
 use vfs::{AccessMode, FileSystem, FsError, FsResult, StreamId, Vnode, VnodeId};
 
@@ -457,128 +457,110 @@ impl ExtentFs {
         span: SpanId,
     ) -> FsResult<PageId> {
         let costs = self.inner.params.costs;
+        let iopath = &self.inner.iopath;
         let key = PageKey {
             vnode: self.vid(f.ino),
             offset: lbn * BLOCK_SIZE as u64,
         };
-        let cached = self
-            .inner
-            .cache
-            .lookup_traced(key, f.state.io.id().as_u32(), span);
-        if cached.is_some() {
-            self.inner.iopath.take_ra_pending(key);
-        }
-        self.charge(
-            "fault",
-            if cached.is_some() {
-                costs.page_hit
-            } else {
-                costs.fault
-            },
-        )
-        .await;
-        self.charge("bmap", costs.bmap).await;
         let unit = self.inner.params.extent_blocks;
-        if self.translate(f.ino, lbn).is_none() {
-            return Err(FsError::Corrupt);
-        }
-        // The unit containing `lbn` may be physically fragmented on an
-        // aged volume; the batched intent below still moves it in one
+        // The unit containing a block may be physically fragmented on an
+        // aged volume; the batched intents below still move it in one
         // setup, so availability is clipped by the unit and EOF only.
-        let avail = |probe: u64| -> u32 {
-            if probe >= eof_blocks || self.translate(f.ino, probe).is_none() {
-                0
-            } else {
-                (eof_blocks - probe).min(unit as u64) as u32
+        let extent = |probe: u64| -> Option<(u32, u32)> {
+            if probe >= eof_blocks {
+                return None;
             }
+            let (pbn, _) = self.translate(f.ino, probe)?;
+            Some((pbn, (eof_blocks - probe).min(unit as u64) as u32))
         };
-        // Extent lookups are synchronous here, so the plan commits in one
-        // call (no lazy-probe dry run as in UFS).
-        let plan =
-            self.inner
-                .iopath
-                .prefetch_commit(f.state.io.id(), lbn, cached.is_some(), avail, 0);
         let map = ExtMap {
             fs: self,
             ino: f.ino,
         };
-        let mut sync_io = None;
-        if cached.is_none() {
-            let run = plan.sync.expect("uncached read plans I/O");
-            debug_assert_eq!(run.lbn, lbn);
-            let intent = IoIntent::ReadRuns(ReadRuns {
-                lbn: run.lbn,
-                len: run.blocks,
-                reason: ReadReason::Demand,
-                sieve: None,
-            });
-            let io = match self
+        // The pagein retry loop: each pass is one full fault.
+        loop {
+            let cached = self
                 .inner
-                .iopath
-                .execute_traced(&f.state.io, &map, intent, span)
-                .await?
-            {
-                Executed::BatchIssued(io) => io,
-                _ => unreachable!("demand reads are issued"),
-            };
-            {
-                let mut st = self.inner.stats.borrow_mut();
-                st.unit_reads += 1;
-                st.blocks_read += io.blocks() as u64;
+                .cache
+                .lookup_traced(key, f.state.io.id().as_u32(), span);
+            if cached.is_some() {
+                iopath.take_ra_pending(key);
             }
-            sync_io = Some(io);
-        }
-        for run in &plan.runs {
-            // Sieving runs already chose their span; exact runs are
-            // re-clipped by EOF/mapping availability.
-            let n = if run.sieve.is_some() {
-                run.blocks
-            } else {
-                run.blocks.min(avail(run.lbn))
-            };
-            if n > 0 {
+            self.charge(
+                "fault",
+                if cached.is_some() {
+                    costs.page_hit
+                } else {
+                    costs.fault
+                },
+            )
+            .await;
+            self.charge("bmap", costs.bmap).await;
+            if self.translate(f.ino, lbn).is_none() {
+                return Err(FsError::Corrupt);
+            }
+            // Extent lookups are synchronous, so every probe resolves at
+            // once.
+            let (plan, _) = iopath
+                .plan(
+                    f.state.io.id(),
+                    lbn,
+                    cached.is_some(),
+                    0,
+                    Probes::default(),
+                    |p| std::future::ready(Ok(extent(p))),
+                )
+                .await?;
+            let mut sync_io = None;
+            if cached.is_none() {
+                let run = plan.sync.expect("uncached read plans I/O");
+                debug_assert_eq!(run.lbn, lbn);
                 let intent = IoIntent::ReadRuns(ReadRuns {
-                    lbn: run.lbn,
-                    len: n,
-                    reason: ReadReason::Readahead,
-                    sieve: run.sieve,
+                    lbn,
+                    len: run.blocks,
+                    reason: ReadReason::Demand,
+                    at: None,
+                    sieve: None,
                 });
-                if let Executed::ReadaheadIssued { blocks } =
-                    self.inner.iopath.execute(&f.state.io, &map, intent).await?
+                if let Executed::BatchIssued(io) =
+                    iopath.execute(&f.state.io, &map, intent, span).await?
                 {
                     let mut st = self.inner.stats.borrow_mut();
                     st.unit_reads += 1;
-                    st.blocks_read += blocks as u64;
+                    st.blocks_read += io.blocks() as u64;
+                    sync_io = Some(io);
                 }
             }
-        }
-        match (cached, sync_io) {
-            (Some(id), _) => {
-                // The page was cached when we looked, but the CPU charges
-                // and read-ahead planning above are awaits, during which
-                // the pageout daemon may have evicted and recycled it.
-                // Re-resolve; if it vanished, retry the whole getpage —
-                // the classic pagein retry loop.
-                let current = if self.inner.cache.is_current(id) {
-                    Some(id)
-                } else {
-                    self.inner.cache.lookup(key)
+            for run in &plan.runs {
+                // Sieving runs already chose their span; exact runs are
+                // re-clipped by EOF/mapping availability.
+                let n = match run.sieve {
+                    Some(_) => run.blocks,
+                    None => run.blocks.min(extent(run.lbn).map_or(0, |(_, n)| n)),
                 };
-                match current {
-                    Some(id) => {
-                        self.inner.cache.wait_unbusy(id).await;
-                        if self.inner.cache.is_current(id) {
-                            self.inner.cache.set_referenced(id);
-                            Ok(id)
-                        } else {
-                            Box::pin(self.getpage_inner(f, lbn, eof_blocks, span)).await
-                        }
+                if n > 0 {
+                    let intent = IoIntent::ReadRuns(ReadRuns {
+                        lbn: run.lbn,
+                        len: n,
+                        reason: ReadReason::Readahead,
+                        at: None,
+                        sieve: run.sieve,
+                    });
+                    if let Executed::ReadaheadIssued { blocks } =
+                        iopath.execute(&f.state.io, &map, intent, span).await?
+                    {
+                        let mut st = self.inner.stats.borrow_mut();
+                        st.unit_reads += 1;
+                        st.blocks_read += blocks as u64;
                     }
-                    None => Box::pin(self.getpage_inner(f, lbn, eof_blocks, span)).await,
                 }
             }
-            (None, Some(io)) => self.inner.iopath.finish_batch(io, lbn).await,
-            (None, None) => unreachable!(),
+            if let Some(io) = sync_io {
+                return iopath.finish_batch(io, lbn).await;
+            }
+            if let Some(id) = iopath.revalidate(key, cached).await {
+                return Ok(id);
+            }
         }
     }
 
@@ -599,7 +581,12 @@ impl ExtentFs {
             reason,
             free_behind: false,
         });
-        match self.inner.iopath.execute(&f.state.io, &map, intent).await? {
+        match self
+            .inner
+            .iopath
+            .execute(&f.state.io, &map, intent, SpanId::NONE)
+            .await?
+        {
             Executed::Wrote { cluster_blocks } => {
                 let mut st = self.inner.stats.borrow_mut();
                 for n in cluster_blocks {

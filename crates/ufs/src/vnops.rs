@@ -8,7 +8,7 @@ use clufs::{PrefetchPolicy, WriteAction};
 use pagecache::{PageId, PageKey};
 use simkit::SpanId;
 use vfs::iopath::{
-    BlockMap, Executed, FreeBehind, IoIntent, ReadCluster, ReadReason, ReadRuns, WriteCluster,
+    BlockMap, Executed, FreeBehind, IoIntent, Probes, ReadReason, ReadRuns, WriteCluster,
     WriteReason,
 };
 use vfs::{AccessMode, FileSystem, FsError, FsResult, StreamId, Vnode, VnodeId};
@@ -101,20 +101,9 @@ impl Ufs {
     /// `lbn`, driving the read-ahead machinery (Figures 2, 3 and 6).
     ///
     /// `hint_blocks` is the Further Work request-size hint from `rdwr`
-    /// (0 = none).
+    /// (0 = none). The `fs.getpage` trace span nests under `parent` and
+    /// brackets the whole fault, including retries.
     pub(crate) async fn getpage(
-        &self,
-        ip: &Rc<Incore>,
-        lbn: u64,
-        hint_blocks: u32,
-    ) -> FsResult<PageId> {
-        self.getpage_traced(ip, lbn, hint_blocks, SpanId::NONE)
-            .await
-    }
-
-    /// [`Ufs::getpage`] with its `fs.getpage` trace span nested under
-    /// `parent`. The span brackets the whole fault, including retries.
-    pub(crate) async fn getpage_traced(
         &self,
         ip: &Rc<Incore>,
         lbn: u64,
@@ -137,106 +126,58 @@ impl Ufs {
         span: SpanId,
     ) -> FsResult<PageId> {
         let costs = self.inner.params.costs;
-        self.inner.stats.borrow_mut().getpage_calls += 1;
-        self.inner.metrics.getpage_calls.inc();
-        let eof_blocks = Self::eof_blocks(ip);
-        assert!(lbn < eof_blocks, "getpage beyond EOF");
+        let iopath = &self.inner.iopath;
         let key = self.page_key(ip, lbn);
-        let cached = self
-            .inner
-            .cache
-            .lookup_traced(key, ip.io.id().as_u32(), span);
-        if cached.is_some() {
-            self.inner.stats.borrow_mut().getpage_hits += 1;
-            self.inner.metrics.getpage_hits.inc();
-            if self.inner.iopath.take_ra_pending(key) {
-                self.inner.metrics.readahead_used.inc();
-            }
-            self.charge("fault", costs.page_hit).await;
-        } else {
-            self.charge("fault", costs.fault).await;
-        }
-
-        // Figure 2: bmap is called even when the page is in memory, because
-        // getpage must know whether the page has backing store (holes). The
-        // UFS_HOLE Further Work item skips it for files known hole-free.
-        let mut known: Vec<(u64, Option<(u32, u32)>)> = Vec::new();
-        if cached.is_some() {
-            if self.inner.params.tuning.ufs_hole_opt && !ip.may_have_holes.get() {
-                self.inner.stats.borrow_mut().bmap_skipped_hole_opt += 1;
-            } else {
-                let v = self.effective_cluster(ip, lbn, eof_blocks).await?;
-                known.push((lbn, v));
-            }
-        }
-
-        // Plan I/O through the prefetch engine. Cluster lengths are
-        // resolved lazily: the engine is dry-run on a clone until every
-        // probe it makes is known (the paper's predictor makes at most
-        // two — the faulting block's cluster and the read-ahead cluster;
-        // the adaptive one probes each predicted start), then committed.
-        // Quiet cached faults therefore cost no extra bmap work.
-        let plan = loop {
-            let missing = std::cell::Cell::new(None);
-            let dry = {
-                let lookup = |probe: u64| -> u32 {
-                    match known.iter().find(|(p, _)| *p == probe) {
-                        Some((_, v)) => v.map(|(_, l)| l).unwrap_or(0),
-                        None => {
-                            missing.set(Some(probe));
-                            0
-                        }
-                    }
-                };
-                self.inner.iopath.prefetch_dry(
-                    ip.io.id(),
-                    lbn,
-                    cached.is_some(),
-                    lookup,
-                    hint_blocks,
-                )
-            };
-            match missing.get() {
-                Some(probe) => {
-                    let v = self.effective_cluster(ip, probe, eof_blocks).await?;
-                    known.push((probe, v));
-                }
-                None => {
-                    // Commit the state transition with fully-known probes.
-                    let lookup = |probe: u64| -> u32 {
-                        known
-                            .iter()
-                            .find(|(p, _)| *p == probe)
-                            .and_then(|(_, v)| v.map(|(_, l)| l))
-                            .unwrap_or(0)
-                    };
-                    let committed = self.inner.iopath.prefetch_commit(
-                        ip.io.id(),
-                        lbn,
-                        cached.is_some(),
-                        lookup,
-                        hint_blocks,
-                    );
-                    debug_assert_eq!(committed, dry);
-                    break committed;
-                }
-            }
-        };
-        let req_cluster = known.iter().find(|(p, _)| *p == lbn).and_then(|(_, v)| *v);
-        let next_cluster = plan
-            .runs
-            .first()
-            .and_then(|run| known.iter().find(|(p, _)| *p == run.lbn))
-            .and_then(|(_, v)| *v);
-
-        // Issue the synchronous read (if the page is absent) and the
-        // read-ahead BEFORE waiting, so both requests queue at the disk
-        // together.
         let map = UfsMap { fs: self, ip };
-        let mut sync_io: Option<vfs::iopath::ClusterRead> = None;
-        if cached.is_none() {
-            match req_cluster {
-                None => {
+        let adaptive = self.inner.params.tuning.prefetch == PrefetchPolicy::Adaptive;
+        // The pagein retry loop: each pass is one full fault.
+        loop {
+            let eof_blocks = Self::eof_blocks(ip);
+            assert!(lbn < eof_blocks, "getpage beyond EOF");
+            self.inner.stats.borrow_mut().getpage_calls += 1;
+            self.inner.metrics.getpage_calls.inc();
+            let cached = self
+                .inner
+                .cache
+                .lookup_traced(key, ip.io.id().as_u32(), span);
+            if cached.is_some() {
+                self.inner.stats.borrow_mut().getpage_hits += 1;
+                self.inner.metrics.getpage_hits.inc();
+                if iopath.take_ra_pending(key) {
+                    self.inner.metrics.readahead_used.inc();
+                }
+                self.charge("fault", costs.page_hit).await;
+            } else {
+                self.charge("fault", costs.fault).await;
+            }
+
+            // Figure 2: bmap is called even when the page is in memory,
+            // because getpage must know whether the page has backing store
+            // (holes). The UFS_HOLE Further Work item skips it for files
+            // known hole-free.
+            let mut seed = Probes::default();
+            if cached.is_some() {
+                if self.inner.params.tuning.ufs_hole_opt && !ip.may_have_holes.get() {
+                    self.inner.stats.borrow_mut().bmap_skipped_hole_opt += 1;
+                } else {
+                    seed.insert(lbn, self.effective_cluster(ip, lbn, eof_blocks).await?);
+                }
+            }
+            // The planner resolves the rest lazily (the paper's predictor
+            // probes at most the faulting and the read-ahead cluster), so
+            // quiet cached faults cost no extra bmap work.
+            let (plan, probes) = iopath
+                .plan(ip.io.id(), lbn, cached.is_some(), hint_blocks, seed, |p| {
+                    self.effective_cluster(ip, p, eof_blocks)
+                })
+                .await?;
+
+            // Issue the synchronous read (if the page is absent) and the
+            // read-ahead BEFORE waiting, so both requests queue at the disk
+            // together.
+            let mut sync_io = None;
+            if cached.is_none() {
+                let Some((pbn, _)) = probes.get(lbn) else {
                     // A hole: deliver a zero-filled page with no I/O.
                     let id = self
                         .inner
@@ -245,25 +186,19 @@ impl Ufs {
                         .await;
                     self.inner.cache.unbusy(id);
                     return Ok(id);
-                }
-                Some((pbn, _len)) => {
-                    let run = plan.sync.expect("uncached non-hole access plans a read");
-                    debug_assert_eq!(run.lbn, lbn);
-                    let intent = IoIntent::ReadCluster(ReadCluster {
-                        lbn: run.lbn,
-                        pbn,
-                        len: run.blocks,
-                        reason: ReadReason::Demand,
-                    });
-                    let io = match self
-                        .inner
-                        .iopath
-                        .execute_traced(&ip.io, &map, intent, span)
-                        .await?
-                    {
-                        Executed::ReadIssued(io) => io,
-                        _ => unreachable!("demand reads are issued"),
-                    };
+                };
+                let run = plan.sync.expect("uncached non-hole access plans a read");
+                debug_assert_eq!(run.lbn, lbn);
+                let intent = IoIntent::ReadRuns(ReadRuns {
+                    lbn,
+                    len: run.blocks,
+                    reason: ReadReason::Demand,
+                    at: Some(pbn),
+                    sieve: None,
+                });
+                if let Executed::BatchIssued(io) =
+                    iopath.execute(&ip.io, &map, intent, span).await?
+                {
                     let n = io.blocks() as u64;
                     {
                         let mut stats = self.inner.stats.borrow_mut();
@@ -276,91 +211,45 @@ impl Ufs {
                     sync_io = Some(io);
                 }
             }
-        }
-        let adaptive = self.inner.params.tuning.readahead
-            && self.inner.params.tuning.prefetch == PrefetchPolicy::Adaptive;
-        if adaptive {
-            // Adaptive runs carry no physical address; `ReadRuns` resolves
-            // extents itself (and applies the data-sieving pattern, if any).
+            // Fixed-mode runs start at a cluster the planner already
+            // bmapped, so the executor reuses that answer. Adaptive runs
+            // carry no physical address: the executor resolves their
+            // extents (and applies the data-sieving pattern, if any).
             for run in &plan.runs {
+                let at = match (adaptive, probes.get(run.lbn)) {
+                    (true, _) => None,
+                    (false, Some((pbn, _))) => Some(pbn),
+                    (false, None) => continue,
+                };
                 let intent = IoIntent::ReadRuns(ReadRuns {
                     lbn: run.lbn,
                     len: run.blocks,
                     reason: ReadReason::Readahead,
+                    at,
                     sieve: run.sieve,
                 });
                 if let Executed::ReadaheadIssued { blocks } =
-                    self.inner.iopath.execute(&ip.io, &map, intent).await?
+                    iopath.execute(&ip.io, &map, intent, span).await?
                 {
+                    let blocks = blocks as u64;
                     {
                         let mut stats = self.inner.stats.borrow_mut();
                         stats.readaheads += 1;
-                        stats.blocks_read += blocks as u64;
+                        stats.blocks_read += blocks;
                     }
                     self.inner.metrics.readaheads.inc();
-                    self.inner.metrics.readahead_blocks.add(blocks as u64);
-                    self.inner.metrics.blocks_read.add(blocks as u64);
-                    self.inner
-                        .metrics
-                        .cluster_read_blocks
-                        .observe(blocks as u64);
+                    self.inner.metrics.readahead_blocks.add(blocks);
+                    self.inner.metrics.blocks_read.add(blocks);
+                    self.inner.metrics.cluster_read_blocks.observe(blocks);
                 }
             }
-        } else if let Some(run) = plan.runs.first() {
-            if let Some((ra_pbn, _)) = next_cluster {
-                let intent = IoIntent::ReadCluster(ReadCluster {
-                    lbn: run.lbn,
-                    pbn: ra_pbn,
-                    len: run.blocks,
-                    reason: ReadReason::Readahead,
-                });
-                if let Executed::ReadaheadIssued { blocks } =
-                    self.inner.iopath.execute(&ip.io, &map, intent).await?
-                {
-                    {
-                        let mut stats = self.inner.stats.borrow_mut();
-                        stats.readaheads += 1;
-                        stats.blocks_read += blocks as u64;
-                    }
-                    self.inner.metrics.readaheads.inc();
-                    self.inner.metrics.readahead_blocks.add(blocks as u64);
-                    self.inner.metrics.blocks_read.add(blocks as u64);
-                    self.inner
-                        .metrics
-                        .cluster_read_blocks
-                        .observe(blocks as u64);
-                }
-            }
-        }
 
-        match (cached, sync_io) {
-            (Some(id), _) => {
-                // The page was cached when we looked, but planning the I/O
-                // involved awaits (CPU charges, bmap, read-ahead page
-                // allocation), during which the pageout daemon may have
-                // evicted and recycled it. Re-resolve; if it vanished,
-                // retry the whole getpage — the classic pagein retry loop.
-                let current = if self.inner.cache.is_current(id) {
-                    Some(id)
-                } else {
-                    self.inner.cache.lookup(key)
-                };
-                match current {
-                    Some(id) => {
-                        // Possibly still being read ahead: wait out the I/O.
-                        self.inner.cache.wait_unbusy(id).await;
-                        if self.inner.cache.is_current(id) {
-                            self.inner.cache.set_referenced(id);
-                            Ok(id)
-                        } else {
-                            Box::pin(self.getpage_traced(ip, lbn, hint_blocks, span)).await
-                        }
-                    }
-                    None => Box::pin(self.getpage_traced(ip, lbn, hint_blocks, span)).await,
-                }
+            if let Some(io) = sync_io {
+                return iopath.finish_batch(io, lbn).await;
             }
-            (None, Some(io)) => self.inner.iopath.finish_read(io, lbn).await,
-            (None, None) => unreachable!("uncached access either holes or reads"),
+            if let Some(id) = iopath.revalidate(key, cached).await {
+                return Ok(id);
+            }
         }
     }
 
@@ -405,7 +294,12 @@ impl Ufs {
             reason,
             free_behind: free_after,
         });
-        match self.inner.iopath.execute(&ip.io, &map, intent).await? {
+        match self
+            .inner
+            .iopath
+            .execute(&ip.io, &map, intent, SpanId::NONE)
+            .await?
+        {
             Executed::Wrote { cluster_blocks } => {
                 for n in cluster_blocks {
                     {
@@ -543,7 +437,7 @@ impl Ufs {
             let lbn = pos / BLOCK_SIZE as u64;
             let in_page = (pos % BLOCK_SIZE as u64) as usize;
             let n = ((BLOCK_SIZE - in_page) as u64).min(end - pos) as usize;
-            let pid = self.getpage_traced(ip, lbn, hint, span).await?;
+            let pid = self.getpage(ip, lbn, hint, span).await?;
             if mode == AccessMode::Copy {
                 self.charge("map_unmap", costs.map_unmap).await;
                 self.charge("copy", costs.copy(n)).await;
@@ -562,8 +456,11 @@ impl Ufs {
             ) {
                 let map = UfsMap { fs: self, ip };
                 let intent = IoIntent::FreeBehind(FreeBehind { lbn, page: pid });
-                if let Executed::Freed(true) =
-                    self.inner.iopath.execute(&ip.io, &map, intent).await?
+                if let Executed::Freed(true) = self
+                    .inner
+                    .iopath
+                    .execute(&ip.io, &map, intent, span)
+                    .await?
                 {
                     self.inner.stats.borrow_mut().free_behinds += 1;
                     self.inner.metrics.free_behind_pages.inc();
@@ -862,7 +759,7 @@ impl Vnode for UfsFile {
                 if tail != 0 {
                     let last_lbn = size / BLOCK_SIZE as u64;
                     if self.fs.ptr_at(ip, last_lbn).await? != 0 {
-                        let pid = self.fs.getpage(ip, last_lbn, 0).await?;
+                        let pid = self.fs.getpage(ip, last_lbn, 0, SpanId::NONE).await?;
                         self.fs
                             .inner
                             .cache

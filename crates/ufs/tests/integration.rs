@@ -1,9 +1,10 @@
 //! End-to-end tests of the file system over the simulated disk.
 
 use clufs::Tuning;
-use diskmodel::BlockDeviceExt;
+use diskmodel::{BlockDeviceExt, DiskParams};
+use pagecache::PageCacheParams;
 use simkit::Sim;
-use ufs::{build_test_world, fsck, FileKind};
+use ufs::{build_test_world, build_world, fsck, FileKind, MkfsOptions, UfsParams};
 use vfs::{AccessMode, FileSystem, FsError, Vnode};
 
 fn pattern(len: usize, seed: u8) -> Vec<u8> {
@@ -582,4 +583,41 @@ fn symlinks_fast_and_slow() {
 fn kind_is_exposed() {
     // Smoke test for the FileKind re-export.
     assert_ne!(FileKind::Regular, FileKind::Directory);
+}
+
+#[test]
+fn concurrent_faults_on_one_uncached_block_both_read_it() {
+    // Two tasks fault the same absent block. The first creates the page
+    // and starts the read; the second's demand read finds the page
+    // already there and must wait for it, not panic.
+    let sim = Sim::new();
+    let s = sim.clone();
+    sim.run_until(async move {
+        let w = build_world(
+            &s,
+            DiskParams::small_test(),
+            PageCacheParams::small_test(),
+            MkfsOptions::small_test(),
+            UfsParams::with_tuning(Tuning::config_a()),
+        )
+        .await
+        .unwrap();
+        let data = pattern(256 * 1024, 11);
+        let f = w.fs.create("shared").await.unwrap();
+        f.write(0, &data, AccessMode::Copy).await.unwrap();
+        f.fsync().await.unwrap();
+        w.cache.invalidate_vnode(f.id(), 0);
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                let fs = w.fs.clone();
+                s.spawn(async move {
+                    let g = fs.open("shared").await.unwrap();
+                    g.read(0, 8192, AccessMode::Copy).await.unwrap()
+                })
+            })
+            .collect();
+        for r in readers {
+            assert_eq!(r.await, data[..8192]);
+        }
+    });
 }

@@ -17,6 +17,7 @@
 //! `core.throttle_stalls{stream=N}`, `iopath.cluster_*_blocks{stream=N}`).
 
 use std::cell::{Cell, RefCell};
+use std::future::Future;
 use std::ops::Range;
 use std::rc::Rc;
 
@@ -48,28 +49,21 @@ pub enum WriteReason {
     Cleaner,
 }
 
-/// A cluster read: `len` blocks starting at logical block `lbn`, backed by
-/// physical block `pbn`. The executor clips the transfer at the first
-/// already-cached page.
-#[derive(Clone, Copy, Debug)]
-pub struct ReadCluster {
-    pub lbn: u64,
-    pub pbn: u32,
-    pub len: u32,
-    pub reason: ReadReason,
-}
-
-/// A batched run-list read: up to `len` logical blocks from `lbn`,
-/// resolved through [`BlockMap::runs`] in one pass. Unlike
-/// [`ReadCluster`], the blocks need not be physically contiguous — the
-/// executor pays one setup for the whole batch and issues one transfer
-/// per physical run, back to back (the list-I/O shape: tree walks and
-/// command builds amortize even on a fragmented file).
+/// A run-list read: up to `len` logical blocks from `lbn`, moved in one
+/// batch. The executor pays one setup for the whole batch and issues one
+/// transfer per physical run, back to back (the list-I/O shape: tree
+/// walks and command builds amortize even on a fragmented file). A
+/// physically contiguous cluster is the one-run case.
 #[derive(Clone, Copy, Debug)]
 pub struct ReadRuns {
     pub lbn: u64,
     pub len: u32,
     pub reason: ReadReason,
+    /// `Some(pbn)`: the caller already resolved `[lbn, lbn+len)` to one
+    /// contiguous run starting at physical block `pbn`, so the executor
+    /// skips [`BlockMap::runs`] (for UFS a second `bmap` walk, with its
+    /// CPU charged again). `None`: the executor resolves the run-list.
+    pub at: Option<u32>,
     /// Data-sieving pattern for a speculative batch: `Some((keep,
     /// period))` marks the block at offset `o` from `lbn` as wanted iff
     /// `o % period < keep`; the rest is gap filler, read only to keep
@@ -101,7 +95,6 @@ pub struct FreeBehind {
 /// [`IoPath::execute`].
 #[derive(Clone, Debug)]
 pub enum IoIntent {
-    ReadCluster(ReadCluster),
     ReadRuns(ReadRuns),
     WriteCluster(WriteCluster),
     FreeBehind(FreeBehind),
@@ -109,15 +102,15 @@ pub enum IoIntent {
 
 /// What executing an [`IoIntent`] did.
 pub enum Executed {
-    /// A demand read is in flight; wait for it with [`IoPath::finish_read`].
-    ReadIssued(ClusterRead),
-    /// A demand run-list batch is in flight; wait for it with
+    /// A demand read is in flight; wait for it with
     /// [`IoPath::finish_batch`].
     BatchIssued(BatchRead),
     /// A read-ahead was issued; `blocks` pages are being filled
     /// asynchronously by the executor's completion task.
     ReadaheadIssued { blocks: u32 },
-    /// The first page was already resident; no I/O was started.
+    /// The first page was already resident (for a demand read: a
+    /// concurrent fault created it first); no I/O was started. A demand
+    /// caller takes it through [`IoPath::revalidate`].
     AlreadyCached,
     /// The writeback sweep issued one cluster per entry (`blocks` each);
     /// completions run asynchronously — quiesce via [`FileStream`].
@@ -127,29 +120,9 @@ pub enum Executed {
     Freed(bool),
 }
 
-/// An issued cluster read: the disk handle plus the busy pages created for
-/// it, in block order. Carries enough of the original request (device
-/// range, stream, owning vnode) to resubmit the transfer on a transient
-/// device error and to tear the pages back down on a permanent one.
-pub struct ClusterRead {
-    handle: IoHandle,
-    lba: u64,
-    nsect: u32,
-    stream: u32,
-    vnode: VnodeId,
-    pages: Vec<(u64, PageId)>,
-    span: SpanId,
-}
-
-impl ClusterRead {
-    /// Number of blocks in the transfer.
-    pub fn blocks(&self) -> u32 {
-        self.pages.len() as u32
-    }
-}
-
 /// One in-flight transfer of a [`BatchRead`]: the handle, the device range
-/// it covers (for retry), and the busy pages it fills, in block order.
+/// it covers (for retry on a transient device error), and the busy pages
+/// it fills, in block order.
 struct BatchPart {
     handle: IoHandle,
     lba: u64,
@@ -157,7 +130,9 @@ struct BatchPart {
     pages: Vec<(u64, PageId)>,
 }
 
-/// An issued run-list batch: one in-flight transfer per physical run.
+/// An issued run-list batch: one in-flight transfer per physical run, plus
+/// the stream and owning vnode needed to tear the pages back down on a
+/// permanent failure.
 pub struct BatchRead {
     parts: Vec<BatchPart>,
     stream: u32,
@@ -212,6 +187,30 @@ pub trait BlockMap {
     /// The largest blocks-per-transfer this mount allows (UFS: the tuned
     /// I/O cluster size; extentfs: the extent unit).
     fn max_cluster(&self) -> u32;
+}
+
+/// Block-map answers one fault has resolved: `(pbn, contiguous_blocks)`
+/// per probed logical block, `None` for a hole (or past EOF). A caller
+/// seeds it with probes it makes for its own reasons (UFS's Figure-2
+/// `bmap` on a cache hit); [`IoPath::plan`] adds the engine's.
+#[derive(Default, Debug)]
+pub struct Probes(Vec<(u64, Option<(u32, u32)>)>);
+
+impl Probes {
+    /// Records the answer for `lbn`.
+    pub fn insert(&mut self, lbn: u64, extent: Option<(u32, u32)>) {
+        self.0.push((lbn, extent));
+    }
+
+    /// The extent at `lbn`; `None` when it is a hole or was never probed.
+    pub fn get(&self, lbn: u64) -> Option<(u32, u32)> {
+        self.lookup(lbn).flatten()
+    }
+
+    /// `Some(answer)` once `lbn` has been probed.
+    fn lookup(&self, lbn: u64) -> Option<Option<(u32, u32)>> {
+        self.0.iter().find(|(p, _)| *p == lbn).map(|(_, v)| *v)
+    }
 }
 
 /// Per-open-file I/O identity: the stream label, the paper's per-inode
@@ -436,44 +435,70 @@ impl IoPath {
         self.inner.prefetch_unit.set(unit_blocks.max(1));
     }
 
-    /// Dry-runs the stream's prefetch engine for an access to `lbn`
-    /// without committing the state transition. Callers whose
-    /// `cluster_len` probes resolve lazily (UFS `bmap` awaits) loop on
-    /// this until every probe is known, then call
-    /// [`IoPath::prefetch_commit`] with identical inputs.
-    pub fn prefetch_dry(
+    /// Plans the stream's I/O for an access to `lbn`: the prefetch
+    /// engine's sync read and read-ahead runs, with the state transition
+    /// committed.
+    ///
+    /// The engine asks for cluster lengths synchronously, but a file
+    /// system may have to await them (UFS `bmap` charges CPU and can read
+    /// an indirect block). So the engine is dry-run on a clone until
+    /// every probe it makes is known — each distinct block resolved once
+    /// through `probe`, as the dry runs miss it — and then committed with
+    /// the same answers. Cache pressure (`cache.free_pages` vs the
+    /// pageout reserve) is read in the same synchronous stretch as the
+    /// last dry run, so the two agree. `seed` holds probes the caller
+    /// already made; they are returned with the rest.
+    pub async fn plan<F, Fut>(
         &self,
         stream: StreamId,
         lbn: u64,
         cached: bool,
-        cluster_len: impl FnMut(u64) -> u32,
-        size_hint_blocks: u32,
-    ) -> PrefetchPlan {
-        let mut engine = self.engine(stream);
-        engine.on_access(
-            lbn,
-            cached,
-            cluster_len,
-            size_hint_blocks,
-            self.inner.cache.free_count() as u64,
-            self.inner.cache.lotsfree() as u64,
-        )
+        hint_blocks: u32,
+        seed: Probes,
+        mut probe: F,
+    ) -> FsResult<(PrefetchPlan, Probes)>
+    where
+        F: FnMut(u64) -> Fut,
+        Fut: Future<Output = FsResult<Option<(u32, u32)>>>,
+    {
+        let mut probes = seed;
+        loop {
+            let free = self.inner.cache.free_count() as u64;
+            let reserve = self.inner.cache.lotsfree() as u64;
+            let mut missing = None;
+            let dry = self.with_engine(stream, |e| e.clone()).on_access(
+                lbn,
+                cached,
+                |p| match probes.lookup(p) {
+                    Some(v) => v.map_or(0, |(_, n)| n),
+                    None => {
+                        missing = Some(p);
+                        0
+                    }
+                },
+                hint_blocks,
+                free,
+                reserve,
+            );
+            if let Some(p) = missing {
+                let v = probe(p).await?;
+                probes.insert(p, v);
+                continue;
+            }
+            let plan = self.with_engine(stream, |e| {
+                let len = |p| probes.get(p).map_or(0, |(_, n)| n);
+                e.on_access(lbn, cached, len, hint_blocks, free, reserve)
+            });
+            debug_assert_eq!(plan, dry);
+            if !plan.runs.is_empty() {
+                self.inner.pf.distance.observe(plan.distance.max(1) as u64);
+            }
+            return Ok((plan, probes));
+        }
     }
 
-    /// Runs the stream's prefetch engine for an access to `lbn`,
-    /// committing the state transition, and returns the plan. Pressure
-    /// (`cache.free_pages` vs the pageout reserve) is read here, so a
-    /// dry run and a commit in the same synchronous stretch agree.
-    pub fn prefetch_commit(
-        &self,
-        stream: StreamId,
-        lbn: u64,
-        cached: bool,
-        cluster_len: impl FnMut(u64) -> u32,
-        size_hint_blocks: u32,
-    ) -> PrefetchPlan {
-        let free = self.inner.cache.free_count() as u64;
-        let reserve = self.inner.cache.lotsfree() as u64;
+    /// Runs `f` on the stream's prefetch engine, creating it on first use.
+    fn with_engine<R>(&self, stream: StreamId, f: impl FnOnce(&mut Prefetcher) -> R) -> R {
         let mut engines = self.inner.prefetchers.borrow_mut();
         let engine = engines.entry(stream.as_u32()).or_insert_with(|| {
             Prefetcher::new(
@@ -481,27 +506,7 @@ impl IoPath {
                 self.inner.prefetch_unit.get(),
             )
         });
-        let plan = engine.on_access(lbn, cached, cluster_len, size_hint_blocks, free, reserve);
-        drop(engines);
-        if !plan.runs.is_empty() {
-            self.inner.pf.distance.observe(plan.distance.max(1) as u64);
-        }
-        plan
-    }
-
-    /// A clone of the stream's engine (creating it on first use).
-    fn engine(&self, stream: StreamId) -> Prefetcher {
-        self.inner
-            .prefetchers
-            .borrow_mut()
-            .entry(stream.as_u32())
-            .or_insert_with(|| {
-                Prefetcher::new(
-                    self.inner.prefetch_policy.get(),
-                    self.inner.prefetch_unit.get(),
-                )
-            })
-            .clone()
+        f(engine)
     }
 
     /// Tunes the bounded-retry policy: up to `max` resubmissions per
@@ -626,25 +631,36 @@ impl IoPath {
         hit
     }
 
-    /// Resolves one typed intent against the cache and the disk.
-    pub async fn execute(
-        &self,
-        fstream: &Rc<FileStream>,
-        map: &impl BlockMap,
-        intent: IoIntent,
-    ) -> FsResult<Executed> {
-        self.execute_traced(fstream, map, intent, SpanId::NONE)
-            .await
+    /// The pagein retry tail, for a fault that did not read the page
+    /// itself: it was resident when the caller looked (`seen`), or the
+    /// demand read found a concurrent fault had created it first
+    /// (`None`). Planning and issuing I/O awaited (CPU charges, `bmap`,
+    /// read-ahead page allocation), and meanwhile the pageout daemon may
+    /// have recycled it. Re-resolves the page, waits out any fill in
+    /// progress and returns it if it is still current; `None` means it
+    /// vanished and the caller must retry the whole fault.
+    pub async fn revalidate(&self, key: PageKey, seen: Option<PageId>) -> Option<PageId> {
+        let cache = &self.inner.cache;
+        let id = match seen {
+            Some(id) if cache.is_current(id) => id,
+            _ => cache.lookup(key)?,
+        };
+        cache.wait_unbusy(id).await;
+        if !cache.is_current(id) {
+            return None;
+        }
+        cache.set_referenced(id);
+        Some(id)
     }
 
-    /// [`IoPath::execute`], nesting the intent's trace spans under
-    /// `parent`.
+    /// Resolves one typed intent against the cache and the disk, nesting
+    /// its trace spans under `parent`.
     ///
     /// Only a demand read's span is actually parented there: read-ahead
     /// fills and cluster writebacks complete asynchronously, *after* the
     /// faulting operation returns, so their spans are roots — a span must
     /// lie within its parent's interval for the trace to mean anything.
-    pub async fn execute_traced(
+    pub async fn execute(
         &self,
         fstream: &Rc<FileStream>,
         map: &impl BlockMap,
@@ -652,100 +668,19 @@ impl IoPath {
         parent: SpanId,
     ) -> FsResult<Executed> {
         match intent {
-            IoIntent::ReadCluster(rc) => self.read_cluster(fstream, rc, parent).await,
             IoIntent::ReadRuns(rr) => self.read_runs(fstream, map, rr, parent).await,
             IoIntent::WriteCluster(wc) => self.write_clusters(fstream, map, wc).await,
             IoIntent::FreeBehind(fb) => Ok(Executed::Freed(self.free_page(fb))),
         }
     }
 
-    /// Creates busy pages for `[lbn, lbn+len)` — clipped at the first
-    /// already-cached page — and submits one contiguous, stream-tagged
-    /// read. Demand reads return the in-flight [`ClusterRead`]; read-ahead
-    /// spawns the fill task and returns immediately.
-    async fn read_cluster(
-        &self,
-        fstream: &Rc<FileStream>,
-        rc: ReadCluster,
-        parent: SpanId,
-    ) -> FsResult<Executed> {
-        let inner = &*self.inner;
-        if rc.reason == ReadReason::Readahead
-            && inner.cache.lookup(self.key(fstream, rc.lbn)).is_some()
-        {
-            // The data already arrived (or was never evicted): nothing to do.
-            return Ok(Executed::AlreadyCached);
-        }
-        let stream = fstream.id().as_u32();
-        let span = match rc.reason {
-            ReadReason::Demand => inner
-                .sim
-                .tracer()
-                .start("iopath.read_cluster", stream, parent),
-            // Read-ahead outlives the faulting operation; see
-            // `execute_traced`.
-            ReadReason::Readahead => {
-                inner
-                    .sim
-                    .tracer()
-                    .start("iopath.readahead", stream, SpanId::NONE)
-            }
-        };
-        inner.sim.tracer().arg(span, "lbn", rc.lbn);
-        let mut pages = Vec::new();
-        for i in 0..rc.len.max(1) {
-            let key = self.key(fstream, rc.lbn + i as u64);
-            if inner.cache.lookup(key).is_some() {
-                break; // Already resident: clip the cluster here.
-            }
-            // Unzeroed: the read fills every byte before the page leaves
-            // busy, and a failed read invalidates it.
-            let id = inner.cache.create_for_fill(key, stream, span).await;
-            // The page identity is fresh; drop any stale read-ahead claim
-            // a recycled predecessor left behind.
-            inner.ra_pending.borrow_mut().remove(&key);
-            pages.push((rc.lbn + i as u64, id));
-        }
-        let n = pages.len() as u32;
-        assert!(n > 0, "cluster read with zero absent pages");
-        inner.sim.tracer().arg(span, "blocks", n as u64);
-        inner.cpu.charge("io_setup", inner.costs.io_setup).await;
-        self.per_stream(fstream.id()).read_blocks.observe(n as u64);
-        let lba = rc.pbn as u64 * inner.sectors_per_block as u64;
-        let nsect = n * inner.sectors_per_block;
-        let handle = inner.disk.submit_read_for(lba, nsect, stream, span);
-        let io = ClusterRead {
-            handle,
-            lba,
-            nsect,
-            stream,
-            vnode: fstream.vnode,
-            pages,
-            span,
-        };
-        match rc.reason {
-            ReadReason::Demand => Ok(Executed::ReadIssued(io)),
-            ReadReason::Readahead => {
-                let blocks = io.blocks();
-                inner.pf.issued.add(blocks as u64);
-                {
-                    let mut ra = inner.ra_pending.borrow_mut();
-                    for (run_lbn, _) in &io.pages {
-                        ra.insert(self.key(fstream, *run_lbn));
-                    }
-                }
-                self.spawn_fill(io);
-                Ok(Executed::ReadaheadIssued { blocks })
-            }
-        }
-    }
-
-    /// Resolves the file's run-list once and moves up to `rr.len` blocks
-    /// in one batch — busy pages are created for the absent prefix
-    /// (clipped at the first already-cached page), one `io_setup` is
-    /// charged for the whole batch, and one stream-tagged transfer is
-    /// submitted per physical run. Demand batches return the in-flight
-    /// [`BatchRead`]; read-ahead spawns the fill task and returns.
+    /// Resolves the file's run-list once (or takes the caller's `at`) and
+    /// moves up to `rr.len` blocks in one batch — busy pages are created
+    /// for the absent prefix (clipped at the first already-cached page),
+    /// one `io_setup` is charged for the whole batch, and one
+    /// stream-tagged transfer is submitted per physical run. Demand
+    /// batches return the in-flight [`BatchRead`]; read-ahead spawns the
+    /// fill task and returns.
     async fn read_runs(
         &self,
         fstream: &Rc<FileStream>,
@@ -759,7 +694,17 @@ impl IoPath {
         {
             return Ok(Executed::AlreadyCached);
         }
-        let runs = map.runs(rr.lbn, rr.len.max(1)).await?;
+        let (one, listed);
+        let runs: &[(u32, u32)] = match rr.at {
+            Some(pbn) => {
+                one = [(pbn, rr.len.max(1))];
+                &one
+            }
+            None => {
+                listed = map.runs(rr.lbn, rr.len.max(1)).await?;
+                &listed
+            }
+        };
         let covered: u32 = runs.iter().map(|&(_, n)| n).sum();
         if covered == 0 {
             return match rr.reason {
@@ -772,8 +717,7 @@ impl IoPath {
         let stream = fstream.id().as_u32();
         let span = match rr.reason {
             ReadReason::Demand => inner.sim.tracer().start("iopath.read_runs", stream, parent),
-            // Read-ahead outlives the faulting operation; see
-            // `execute_traced`.
+            // Read-ahead outlives the faulting operation; see `execute`.
             ReadReason::Readahead => {
                 inner
                     .sim
@@ -798,8 +742,9 @@ impl IoPath {
         }
         let n = pages.len() as u32;
         if n == 0 {
-            // Everything arrived while the run-list resolved (the map's
-            // translation may await, e.g. an indirect-block read).
+            // The first page arrived while the run-list resolved (the map's
+            // translation may await, e.g. an indirect-block read), or a
+            // concurrent fault created it first.
             inner.sim.tracer().end(span);
             return Ok(Executed::AlreadyCached);
         }
@@ -808,24 +753,25 @@ impl IoPath {
         // fragmented file gets from list-style I/O.
         inner.cpu.charge("io_setup", inner.costs.io_setup).await;
         self.per_stream(fstream.id()).read_blocks.observe(n as u64);
-        let mut parts = Vec::new();
-        let mut idx = 0usize;
-        for &(pbn, len) in &runs {
-            if idx >= pages.len() {
+        let mut parts = Vec::with_capacity(runs.len());
+        let mut rest = pages;
+        for &(pbn, len) in runs {
+            if rest.is_empty() {
                 break;
             }
-            let take = (len as usize).min(pages.len() - idx);
-            let part: Vec<(u64, PageId)> = pages[idx..idx + take].to_vec();
+            // Split this run's pages off the front; the last run keeps
+            // the buffer itself.
+            let tail = rest.split_off((len as usize).min(rest.len()));
+            let pages = std::mem::replace(&mut rest, tail);
             let lba = pbn as u64 * inner.sectors_per_block as u64;
-            let nsect = take as u32 * inner.sectors_per_block;
+            let nsect = pages.len() as u32 * inner.sectors_per_block;
             let handle = inner.disk.submit_read_for(lba, nsect, stream, span);
             parts.push(BatchPart {
                 handle,
                 lba,
                 nsect,
-                pages: part,
+                pages,
             });
-            idx += take;
         }
         inner.sim.tracer().arg(span, "runs", parts.len() as u64);
         let io = BatchRead {
@@ -863,7 +809,7 @@ impl IoPath {
                 if gap_blocks > 0 {
                     inner.pf.wasted.add(gap_blocks * inner.block_size as u64);
                 }
-                self.spawn_fill_batch(io);
+                self.spawn_readahead_fill(io);
                 Ok(Executed::ReadaheadIssued { blocks })
             }
         }
@@ -880,45 +826,27 @@ impl IoPath {
     /// complete — their handles are in flight and their busy pages must be
     /// resolved either way.
     pub async fn finish_batch(&self, io: BatchRead, want_lbn: u64) -> FsResult<PageId> {
-        let inner = &*self.inner;
-        let bs = inner.block_size;
         let mut want = None;
         let mut want_failed = false;
         for part in io.parts {
-            let res = self
-                .await_read(part.handle, part.lba, part.nsect, io.stream, io.span)
-                .await;
-            inner.cpu.charge("io_intr", inner.costs.io_intr).await;
-            match res {
-                Ok(data) => {
-                    for (i, (run_lbn, id)) in part.pages.iter().enumerate() {
-                        inner
-                            .cache
-                            .fill_with(*id, |frame| data.copy_to(i * bs, frame));
-                        if *run_lbn == want_lbn {
-                            // Stays busy until the whole batch lands: a later
-                            // part's await must not let pageout recycle the page
-                            // this batch was issued for.
-                            want = Some(*id);
-                        } else {
-                            inner.cache.unbusy(*id);
-                        }
-                    }
-                }
-                Err(_) => {
-                    if part.pages.iter().any(|&(l, _)| l == want_lbn) {
-                        want_failed = true;
-                    }
-                    self.drop_failed_pages(io.vnode, &part.pages);
-                }
+            let carries_want = part.pages.iter().any(|&(l, _)| l == want_lbn);
+            // The wanted page stays busy until the whole batch lands: a
+            // later part's await must not let pageout recycle the page
+            // this batch was issued for.
+            match self
+                .land(part, io.stream, io.vnode, io.span, Some(want_lbn))
+                .await
+            {
+                Ok(held) => want = want.or(held),
+                Err(_) => want_failed |= carries_want,
             }
         }
-        inner.sim.tracer().end(io.span);
+        self.inner.sim.tracer().end(io.span);
         if want_failed {
             return Err(FsError::Io);
         }
         let want = want.expect("requested page is in the batch");
-        inner.cache.unbusy(want);
+        self.inner.cache.unbusy(want);
         Ok(want)
     }
 
@@ -927,105 +855,60 @@ impl IoPath {
     /// terminally has its pages invalidated — the read was speculative,
     /// so there is nobody to tell; a later demand access re-faults and
     /// takes the error itself if the fault persists.
-    fn spawn_fill_batch(&self, io: BatchRead) {
+    fn spawn_readahead_fill(&self, io: BatchRead) {
         let this = self.clone();
         self.inner.sim.spawn(async move {
-            let inner = &*this.inner;
-            let bs = inner.block_size;
+            let tracer = this.inner.sim.tracer();
             for part in io.parts {
                 // One child span per physical transfer, under the batch's
                 // `iopath.readahead` root: the trace shows how the
                 // speculative window split across the disk.
-                let ps = inner
-                    .sim
-                    .tracer()
-                    .start("iopath.readahead.part", io.stream, io.span);
-                inner.sim.tracer().arg(ps, "lba", part.lba);
-                inner
-                    .sim
-                    .tracer()
-                    .arg(ps, "blocks", part.pages.len() as u64);
-                let res = this
-                    .await_read(part.handle, part.lba, part.nsect, io.stream, io.span)
-                    .await;
-                inner.cpu.charge("io_intr", inner.costs.io_intr).await;
-                match res {
-                    Ok(data) => {
-                        for (i, (_lbn, id)) in part.pages.iter().enumerate() {
-                            inner
-                                .cache
-                                .fill_with(*id, |frame| data.copy_to(i * bs, frame));
-                            inner.cache.unbusy(*id);
-                        }
-                    }
-                    Err(_) => this.drop_failed_pages(io.vnode, &part.pages),
-                }
-                inner.sim.tracer().end(ps);
+                let ps = tracer.start("iopath.readahead.part", io.stream, io.span);
+                tracer.arg(ps, "lba", part.lba);
+                tracer.arg(ps, "blocks", part.pages.len() as u64);
+                let _ = this.land(part, io.stream, io.vnode, io.span, None).await;
+                tracer.end(ps);
             }
-            inner.sim.tracer().end(io.span);
+            tracer.end(io.span);
         });
     }
 
-    /// Waits out a demand read, charges the interrupt, fills and releases
-    /// every page of the run, and returns the page for `want_lbn`.
-    ///
-    /// Transient device errors are retried (see [`IoPath::set_retry`]); a
-    /// terminal failure invalidates the run's pages and surfaces
-    /// `FsError::Io`.
-    pub async fn finish_read(&self, io: ClusterRead, want_lbn: u64) -> FsResult<PageId> {
+    /// Waits out one transfer of a batch (retrying transient device
+    /// errors), charges its interrupt and fills its pages, releasing all
+    /// but the page for `hold`, which is returned still busy. A terminal
+    /// failure invalidates the part's pages instead.
+    async fn land(
+        &self,
+        part: BatchPart,
+        stream: u32,
+        vnode: VnodeId,
+        span: SpanId,
+        hold: Option<u64>,
+    ) -> FsResult<Option<PageId>> {
         let inner = &*self.inner;
         let res = self
-            .await_read(io.handle, io.lba, io.nsect, io.stream, io.span)
+            .await_read(part.handle, part.lba, part.nsect, stream, span)
             .await;
         inner.cpu.charge("io_intr", inner.costs.io_intr).await;
         let data = match res {
             Ok(data) => data,
             Err(e) => {
-                self.drop_failed_pages(io.vnode, &io.pages);
-                inner.sim.tracer().end(io.span);
+                self.drop_failed_pages(vnode, &part.pages);
                 return Err(e);
             }
         };
-        let bs = inner.block_size;
-        let mut want = None;
-        for (i, (run_lbn, id)) in io.pages.iter().enumerate() {
+        let mut held = None;
+        for (i, &(lbn, id)) in part.pages.iter().enumerate() {
             inner
                 .cache
-                .fill_with(*id, |frame| data.copy_to(i * bs, frame));
-            inner.cache.unbusy(*id);
-            if *run_lbn == want_lbn {
-                want = Some(*id);
+                .fill_with(id, |frame| data.copy_to(i * inner.block_size, frame));
+            if Some(lbn) == hold {
+                held = Some(id);
+            } else {
+                inner.cache.unbusy(id);
             }
         }
-        inner.sim.tracer().end(io.span);
-        Ok(want.expect("requested page is in the run"))
-    }
-
-    /// Asynchronous completion for read-ahead: wait, charge the interrupt,
-    /// fill and release. Terminal failures invalidate the speculative
-    /// pages (see [`IoPath::spawn_fill_batch`] for the rationale).
-    fn spawn_fill(&self, io: ClusterRead) {
-        let this = self.clone();
-        self.inner.sim.spawn(async move {
-            let inner = &*this.inner;
-            let res = this
-                .await_read(io.handle, io.lba, io.nsect, io.stream, io.span)
-                .await;
-            inner.cpu.charge("io_intr", inner.costs.io_intr).await;
-            match res {
-                Ok(data) => {
-                    let bs = inner.block_size;
-                    for (i, (_lbn, id)) in io.pages.iter().enumerate() {
-                        inner
-                            .cache
-                            .fill_with(*id, |frame| data.copy_to(i * bs, frame));
-                        inner.cache.unbusy(*id);
-                    }
-                }
-                Err(_) => this.drop_failed_pages(io.vnode, &io.pages),
-            }
-            inner.sim.tracer().end(io.span);
-        });
+        Ok(held)
     }
 
     /// The paper's Figure 8 while loop: sweep `[range)` for dirty resident
@@ -1103,7 +986,7 @@ impl IoPath {
                     .with_page(*pid, |d| payload.extend_from_slice(d));
             }
             // A root span per cluster: the push completes after the caller
-            // returns (see `execute_traced`), so it cannot nest anywhere.
+            // returns (see `execute`), so it cannot nest anywhere.
             let span = inner.sim.tracer().start(
                 "iopath.write_cluster",
                 fstream.id().as_u32(),

@@ -13,10 +13,10 @@ use std::rc::Rc;
 use diskmodel::{BlockDeviceExt, Disk, DiskParams, SharedDevice};
 use pagecache::{PageCache, PageCacheParams, PageKey};
 use simkit::perfmon::{self, CountingAlloc};
-use simkit::{Cpu, Sim, SimDuration};
+use simkit::{Cpu, Sim, SimDuration, SpanId};
 use vfs::iopath::{
-    BlockMap, Executed, FileStream, IoCosts, IoIntent, IoPath, ReadCluster, ReadReason,
-    WriteCluster, WriteReason,
+    BlockMap, Executed, FileStream, IoCosts, IoIntent, IoPath, ReadReason, ReadRuns, WriteCluster,
+    WriteReason,
 };
 use vfs::FsResult;
 
@@ -102,21 +102,22 @@ fn allocated_bytes() -> u64 {
 /// returns the bytes allocated while doing it.
 async fn demand_read(w: &World, lbn: u64) -> u64 {
     let before = allocated_bytes();
-    let rc = ReadCluster {
+    let rr = ReadRuns {
         lbn,
-        pbn: lbn as u32,
         len: CLUSTER,
         reason: ReadReason::Demand,
+        at: Some(lbn as u32),
+        sieve: None,
     };
     let issued =
-        w.io.execute(&w.stream, &Contiguous, IoIntent::ReadCluster(rc))
+        w.io.execute(&w.stream, &Contiguous, IoIntent::ReadRuns(rr), SpanId::NONE)
             .await
             .expect("read issues");
-    let Executed::ReadIssued(io) = issued else {
+    let Executed::BatchIssued(io) = issued else {
         panic!("demand read did not issue");
     };
     assert_eq!(io.blocks(), CLUSTER);
-    w.io.finish_read(io, lbn).await.expect("read completes");
+    w.io.finish_batch(io, lbn).await.expect("read completes");
     allocated_bytes() - before
 }
 
@@ -181,9 +182,14 @@ fn cluster_write_allocates_one_payload() {
                 free_behind: false,
             };
             let done =
-                w.io.execute(&w.stream, &Contiguous, IoIntent::WriteCluster(wc))
-                    .await
-                    .expect("write issues");
+                w.io.execute(
+                    &w.stream,
+                    &Contiguous,
+                    IoIntent::WriteCluster(wc),
+                    SpanId::NONE,
+                )
+                .await
+                .expect("write issues");
             let Executed::Wrote { cluster_blocks } = done else {
                 panic!("writeback did not write");
             };
