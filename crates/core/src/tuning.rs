@@ -21,9 +21,6 @@ pub struct Tuning {
     /// `true` selects the clustered `getpage`/`putpage` implementation
     /// (SunOS 4.1.1); `false` the block-at-a-time code (SunOS 4.1).
     pub clustering: bool,
-    /// Sequential read-ahead (both code paths have it; disabling is for
-    /// ablation only).
-    pub readahead: bool,
     /// MRU-style self-service page freeing for large sequential reads.
     pub free_behind: bool,
     /// Per-file limit (bytes) on dirty data in the disk queue; `None`
@@ -43,8 +40,8 @@ pub struct Tuning {
     pub io_retry_max: u32,
     /// Base backoff between retries, milliseconds; doubles per attempt.
     pub io_retry_backoff_ms: u32,
-    /// Which prefetch engine the read path runs (only meaningful while
-    /// `readahead` is true; `Fixed` is the paper's predictor).
+    /// Which prefetch engine the read path runs (`Fixed` is the paper's
+    /// predictor; `Off` disables read-ahead).
     pub prefetch: PrefetchPolicy,
 }
 
@@ -62,7 +59,6 @@ impl Tuning {
             maxcontig: 120 * 1024 / BLOCK_SIZE, // 15 blocks
             rotdelay_ms: 0,
             clustering: true,
-            readahead: true,
             free_behind: true,
             write_limit: Some(WRITE_LIMIT_BYTES),
             bmap_cache: false,
@@ -81,7 +77,6 @@ impl Tuning {
             maxcontig: 1,
             rotdelay_ms: 4,
             clustering: false,
-            readahead: true,
             free_behind: true,
             write_limit: Some(WRITE_LIMIT_BYTES),
             bmap_cache: false,

@@ -322,7 +322,9 @@ mod tests {
         assert!(got.iter().all(|&b| b == 2));
     }
 
+    /// A malformed request trips the debug assertion in `submit`...
     #[test]
+    #[cfg(debug_assertions)]
     fn zero_length_request_panics() {
         let sim = Sim::new();
         let disk = test_disk(&sim);
@@ -330,6 +332,18 @@ mod tests {
             disk.submit_read(0, 0);
         }));
         assert!(result.is_err());
+    }
+
+    /// ...and in a release build completes with `MediaError`, as
+    /// `BlockDevice::submit` documents.
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn zero_length_request_fails_with_media_error() {
+        let sim = Sim::new();
+        let disk = test_disk(&sim);
+        let handle = disk.submit_read(0, 0);
+        let status = sim.run_until(async move { handle.wait().await.status });
+        assert_eq!(status, IoStatus::MediaError);
     }
 
     #[test]

@@ -32,16 +32,13 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use clufs::{DelayedWrite, PrefetchPolicy, WriteAction};
+use clufs::PrefetchPolicy;
 use diskmodel::{BlockDeviceExt, SharedDevice};
 use pagecache::{PageCache, PageId, PageKey};
 use simkit::stats::{Counter, Gauge};
 use simkit::{Cpu, IntMap, Sim, SpanId};
 use ufs::CpuCosts;
-use vfs::iopath::{
-    BlockMap, Executed, FileStream, IoCosts, IoIntent, IoPath, Probes, ReadReason, ReadRuns,
-    WriteCluster, WriteReason,
-};
+use vfs::iopath::{BlockMap, DirtySweep, FileStream, IoCosts, IoPath, Probes, ReadRuns};
 use vfs::{AccessMode, FileSystem, FsError, FsResult, StreamId, Vnode, VnodeId};
 
 pub mod alloc;
@@ -68,10 +65,8 @@ pub struct ExtentFsParams {
     pub inline_max: usize,
     /// CPU cost model (use the same as the UFS mount being compared).
     pub costs: CpuCosts,
-    /// Sequential read-ahead of the next I/O unit.
-    pub readahead: bool,
-    /// Which prefetch engine the read path runs (only meaningful while
-    /// `readahead` is true; `Fixed` is the paper's predictor).
+    /// Which prefetch engine the read path runs (`Fixed` is the paper's
+    /// predictor; `Off` disables read-ahead).
     pub prefetch: PrefetchPolicy,
     /// Page-cache identity namespace.
     pub mount_id: u64,
@@ -84,7 +79,6 @@ impl ExtentFsParams {
             extent_blocks: extent_blocks.max(1),
             inline_max: 512,
             costs: CpuCosts::sparcstation_1(),
-            readahead: true,
             prefetch: PrefetchPolicy::Fixed,
             mount_id: 0x0e,
         }
@@ -103,13 +97,6 @@ struct ExtInode {
     name: String,
     size: u64,
     data: FileData,
-}
-
-struct OpenState {
-    dw: RefCell<DelayedWrite>,
-    /// Stream identity + pending-write quiesce (extentfs has no write
-    /// limit, so the stream's throttle is unlimited).
-    io: Rc<FileStream>,
 }
 
 /// Running fragmentation totals behind the registry gauges.
@@ -171,7 +158,9 @@ struct Inner {
     data_start: u64,
     alloc: RefCell<BuddyAllocator>,
     inodes: RefCell<Vec<Option<ExtInode>>>,
-    open: RefCell<IntMap<u32, Rc<OpenState>>>,
+    /// Each open file's stream (extentfs has no write limit, so its
+    /// throttle is unlimited).
+    open: RefCell<IntMap<u32, Rc<FileStream>>>,
     stats: RefCell<ExtentFsStats>,
     frag: FragGauges,
 }
@@ -234,7 +223,7 @@ pub struct ExtentFs {
 pub struct ExtFile {
     fs: ExtentFs,
     ino: u32,
-    state: Rc<OpenState>,
+    io: Rc<FileStream>,
 }
 
 impl ExtentFs {
@@ -274,14 +263,7 @@ impl ExtentFs {
                 io_intr: params.costs.io_intr,
             },
         );
-        iopath.set_prefetch(
-            if params.readahead {
-                params.prefetch
-            } else {
-                PrefetchPolicy::Off
-            },
-            params.extent_blocks,
-        );
+        iopath.set_prefetch(params.prefetch, params.extent_blocks);
         Ok(ExtentFs {
             inner: Rc::new(Inner {
                 sim: sim.clone(),
@@ -422,14 +404,20 @@ impl ExtentFs {
         }
     }
 
-    fn open_state(&self, ino: u32) -> Rc<OpenState> {
-        let mut open = self.inner.open.borrow_mut();
-        Rc::clone(open.entry(ino).or_insert_with(|| {
-            Rc::new(OpenState {
-                dw: RefCell::new(DelayedWrite::new()),
-                io: FileStream::new(&self.inner.sim, self.vid(ino), None),
-            })
-        }))
+    /// An open handle on `ino`, sharing the file's one stream.
+    fn file(&self, ino: u32) -> ExtFile {
+        let io = Rc::clone(
+            self.inner
+                .open
+                .borrow_mut()
+                .entry(ino)
+                .or_insert_with(|| FileStream::new(&self.inner.sim, self.vid(ino), None)),
+        );
+        ExtFile {
+            fs: self.clone(),
+            ino,
+            io,
+        }
     }
 
     /// Reads the I/O unit containing `lbn` into the cache (plus read-ahead
@@ -442,20 +430,9 @@ impl ExtentFs {
         parent: SpanId,
     ) -> FsResult<PageId> {
         let tracer = self.inner.sim.tracer();
-        let span = tracer.start("fs.getpage", f.state.io.id().as_u32(), parent);
+        let guard = tracer.enter("fs.getpage", f.io.id().as_u32(), parent);
+        let span = guard.id();
         tracer.arg(span, "lbn", lbn);
-        let r = self.getpage_inner(f, lbn, eof_blocks, span).await;
-        self.inner.sim.tracer().end(span);
-        r
-    }
-
-    async fn getpage_inner(
-        &self,
-        f: &ExtFile,
-        lbn: u64,
-        eof_blocks: u64,
-        span: SpanId,
-    ) -> FsResult<PageId> {
         let costs = self.inner.params.costs;
         let iopath = &self.inner.iopath;
         let key = PageKey {
@@ -464,7 +441,7 @@ impl ExtentFs {
         };
         let unit = self.inner.params.extent_blocks;
         // The unit containing a block may be physically fragmented on an
-        // aged volume; the batched intents below still move it in one
+        // aged volume; the batched reads below still move it in one
         // setup, so availability is clipped by the unit and EOF only.
         let extent = |probe: u64| -> Option<(u32, u32)> {
             if probe >= eof_blocks {
@@ -482,7 +459,7 @@ impl ExtentFs {
             let cached = self
                 .inner
                 .cache
-                .lookup_traced(key, f.state.io.id().as_u32(), span);
+                .lookup_traced(key, f.io.id().as_u32(), span);
             if cached.is_some() {
                 iopath.take_ra_pending(key);
             }
@@ -503,7 +480,7 @@ impl ExtentFs {
             // once.
             let (plan, _) = iopath
                 .plan(
-                    f.state.io.id(),
+                    f.io.id(),
                     lbn,
                     cached.is_some(),
                     0,
@@ -515,16 +492,13 @@ impl ExtentFs {
             if cached.is_none() {
                 let run = plan.sync.expect("uncached read plans I/O");
                 debug_assert_eq!(run.lbn, lbn);
-                let intent = IoIntent::ReadRuns(ReadRuns {
+                let rr = ReadRuns {
                     lbn,
                     len: run.blocks,
-                    reason: ReadReason::Demand,
                     at: None,
                     sieve: None,
-                });
-                if let Executed::BatchIssued(io) =
-                    iopath.execute(&f.state.io, &map, intent, span).await?
-                {
+                };
+                if let Some(io) = iopath.read_runs(&f.io, &map, rr, span).await? {
                     let mut st = self.inner.stats.borrow_mut();
                     st.unit_reads += 1;
                     st.blocks_read += io.blocks() as u64;
@@ -539,16 +513,14 @@ impl ExtentFs {
                     None => run.blocks.min(extent(run.lbn).map_or(0, |(_, n)| n)),
                 };
                 if n > 0 {
-                    let intent = IoIntent::ReadRuns(ReadRuns {
+                    let rr = ReadRuns {
                         lbn: run.lbn,
                         len: n,
-                        reason: ReadReason::Readahead,
                         at: None,
                         sieve: run.sieve,
-                    });
-                    if let Executed::ReadaheadIssued { blocks } =
-                        iopath.execute(&f.state.io, &map, intent, span).await?
-                    {
+                    };
+                    let blocks = iopath.read_ahead(&f.io, &map, rr).await?;
+                    if blocks > 0 {
                         let mut st = self.inner.stats.borrow_mut();
                         st.unit_reads += 1;
                         st.blocks_read += blocks as u64;
@@ -564,38 +536,25 @@ impl ExtentFs {
         }
     }
 
-    /// Pushes the dirty pages of `[range)` through the shared executor,
-    /// one extent-contiguous unit at a time.
-    async fn flush_range(
-        &self,
-        f: &ExtFile,
-        range: std::ops::Range<u64>,
-        reason: WriteReason,
-    ) -> FsResult<()> {
+    /// Offers dirtied page `lbn` to the shared delayed-write path in
+    /// extent units, counting what it pushes.
+    async fn putpage(&self, f: &ExtFile, lbn: u64) -> FsResult<()> {
         let map = ExtMap {
             fs: self,
             ino: f.ino,
         };
-        let intent = IoIntent::WriteCluster(WriteCluster {
-            range,
-            reason,
-            free_behind: false,
-        });
-        match self
-            .inner
-            .iopath
-            .execute(&f.state.io, &map, intent, SpanId::NONE)
-            .await?
-        {
-            Executed::Wrote { cluster_blocks } => {
-                let mut st = self.inner.stats.borrow_mut();
-                for n in cluster_blocks {
-                    st.unit_writes += 1;
-                    st.blocks_written += n as u64;
-                }
-                Ok(())
-            }
-            _ => unreachable!("write sweeps resolve to Wrote"),
+        let unit = self.inner.params.extent_blocks;
+        let clusters = self.inner.iopath.putpage(&f.io, &map, lbn, unit).await?;
+        self.count_writes(&clusters);
+        Ok(())
+    }
+
+    /// Counts the extent-unit writes one push issued.
+    fn count_writes(&self, clusters: &[u32]) {
+        let mut st = self.inner.stats.borrow_mut();
+        for &n in clusters {
+            st.unit_writes += 1;
+            st.blocks_written += n as u64;
         }
     }
 
@@ -663,48 +622,100 @@ impl Vnode for ExtFile {
     }
 
     fn stream(&self) -> StreamId {
-        self.state.io.id()
+        self.io.id()
     }
 
     async fn read_into(&self, off: u64, buf: &mut [u8], mode: AccessMode) -> FsResult<usize> {
         // One root span per request, same shape as UFS (`fs.read`), so the
         // trace analyzer treats both mounts identically.
         let tracer = self.fs.inner.sim.tracer();
-        let span = tracer.start("fs.read", self.state.io.id().as_u32(), SpanId::NONE);
+        let guard = tracer.enter("fs.read", self.io.id().as_u32(), SpanId::NONE);
+        let span = guard.id();
         tracer.arg(span, "off", off);
         tracer.arg(span, "bytes", buf.len() as u64);
-        let r = self.read_into_inner(off, buf, mode, span).await;
-        self.fs.inner.sim.tracer().end(span);
-        r
+        let costs = self.fs.inner.params.costs;
+        self.fs.charge("syscall", costs.syscall).await;
+        if let Some(n) = self.inline_read(off, buf) {
+            // Inode-resident data: no page cache, no disk — just the copy.
+            if mode == AccessMode::Copy && n > 0 {
+                self.fs.charge("copy", costs.copy(n)).await;
+            }
+            return Ok(n);
+        }
+        let size = self.size();
+        if off >= size {
+            return Ok(0);
+        }
+        let len = buf.len().min((size - off) as usize);
+        let eof_blocks = size.div_ceil(BLOCK_SIZE as u64);
+        let mut pos = off;
+        let mut dst = 0usize;
+        let end = off + len as u64;
+        while pos < end {
+            let lbn = pos / BLOCK_SIZE as u64;
+            let in_page = (pos % BLOCK_SIZE as u64) as usize;
+            let n = ((BLOCK_SIZE - in_page) as u64).min(end - pos) as usize;
+            let pid = self.fs.getpage(self, lbn, eof_blocks, span).await?;
+            self.fs.charge("map_unmap", costs.map_unmap).await;
+            if mode == AccessMode::Copy {
+                self.fs.charge("copy", costs.copy(n)).await;
+            }
+            self.fs
+                .inner
+                .cache
+                .read_at(pid, in_page, &mut buf[dst..dst + n]);
+            pos += n as u64;
+            dst += n;
+        }
+        Ok(len)
     }
 
     async fn write(&self, off: u64, data: &[u8], mode: AccessMode) -> FsResult<()> {
         let tracer = self.fs.inner.sim.tracer();
-        let span = tracer.start("fs.write", self.state.io.id().as_u32(), SpanId::NONE);
+        let guard = tracer.enter("fs.write", self.io.id().as_u32(), SpanId::NONE);
+        let span = guard.id();
         tracer.arg(span, "off", off);
         tracer.arg(span, "bytes", data.len() as u64);
-        let r = self.write_inner(off, data, mode, span).await;
-        self.fs.inner.sim.tracer().end(span);
-        r
+        let costs = self.fs.inner.params.costs;
+        self.fs.charge("syscall", costs.syscall).await;
+        if data.is_empty() {
+            return Ok(());
+        }
+        let end = off + data.len() as u64;
+        if end as usize <= self.fs.inner.params.inline_max && self.is_inline()? {
+            if mode == AccessMode::Copy {
+                self.fs.charge("copy", costs.copy(data.len())).await;
+            }
+            let mut inodes = self.fs.inner.inodes.borrow_mut();
+            let inode = inodes[self.ino as usize]
+                .as_mut()
+                .ok_or(FsError::NotFound)?;
+            let FileData::Inline(buf) = &mut inode.data else {
+                return Err(FsError::Corrupt);
+            };
+            if buf.len() < end as usize {
+                buf.resize(end as usize, 0);
+            }
+            buf[off as usize..end as usize].copy_from_slice(data);
+            inode.size = inode.size.max(end);
+            return Ok(());
+        }
+        self.spill(span).await?;
+        self.extent_write(off, data, mode, span).await
     }
 
     async fn fsync(&self) -> FsResult<()> {
-        let pending = self.state.dw.borrow_mut().flush();
-        if let Some(r) = pending {
-            self.fs.flush_range(self, r, WriteReason::Fsync).await?;
-        }
-        let offsets = self.fs.inner.cache.dirty_offsets(self.id());
-        if let (Some(&first), Some(&last)) = (offsets.first(), offsets.last()) {
-            let range = first / BLOCK_SIZE as u64..last / BLOCK_SIZE as u64 + 1;
-            self.fs.flush_range(self, range, WriteReason::Fsync).await?;
-        }
-        self.state.io.quiesce().await;
-        // Deferred writes fail with no caller to tell; the sticky stream
-        // error makes this fsync the one that reports the loss.
-        if self.state.io.take_io_error() {
-            return Err(FsError::Io);
-        }
-        Ok(())
+        let map = ExtMap {
+            fs: &self.fs,
+            ino: self.ino,
+        };
+        self.fs
+            .inner
+            .iopath
+            .fsync(&self.io, &map, DirtySweep::Span, |c| {
+                self.fs.count_writes(c)
+            })
+            .await
     }
 
     async fn truncate(&self, size: u64) -> FsResult<()> {
@@ -746,119 +757,38 @@ impl ExtFile {
         Some(n)
     }
 
-    async fn read_into_inner(
-        &self,
-        off: u64,
-        buf: &mut [u8],
-        mode: AccessMode,
-        span: SpanId,
-    ) -> FsResult<usize> {
-        let costs = self.fs.inner.params.costs;
-        self.fs.charge("syscall", costs.syscall).await;
-        if let Some(n) = self.inline_read(off, buf) {
-            // Inode-resident data: no page cache, no disk — just the copy.
-            if mode == AccessMode::Copy && n > 0 {
-                self.fs.charge("copy", costs.copy(n)).await;
-            }
-            return Ok(n);
-        }
-        let size = self.size();
-        if off >= size {
-            return Ok(0);
-        }
-        let len = buf.len().min((size - off) as usize);
-        let eof_blocks = size.div_ceil(BLOCK_SIZE as u64);
-        let mut pos = off;
-        let mut dst = 0usize;
-        let end = off + len as u64;
-        while pos < end {
-            let lbn = pos / BLOCK_SIZE as u64;
-            let in_page = (pos % BLOCK_SIZE as u64) as usize;
-            let n = ((BLOCK_SIZE - in_page) as u64).min(end - pos) as usize;
-            let pid = self.fs.getpage(self, lbn, eof_blocks, span).await?;
-            self.fs.charge("map_unmap", costs.map_unmap).await;
-            if mode == AccessMode::Copy {
-                self.fs.charge("copy", costs.copy(n)).await;
-            }
-            self.fs
-                .inner
-                .cache
-                .read_at(pid, in_page, &mut buf[dst..dst + n]);
-            pos += n as u64;
-            dst += n;
-        }
-        Ok(len)
+    /// Whether the file's bytes live in its inode record.
+    fn is_inline(&self) -> FsResult<bool> {
+        let inodes = self.fs.inner.inodes.borrow();
+        let inode = inodes[self.ino as usize]
+            .as_ref()
+            .ok_or(FsError::NotFound)?;
+        Ok(matches!(inode.data, FileData::Inline(_)))
     }
 
-    async fn write_inner(
-        &self,
-        off: u64,
-        data: &[u8],
-        mode: AccessMode,
-        span: SpanId,
-    ) -> FsResult<()> {
-        let costs = self.fs.inner.params.costs;
-        self.fs.charge("syscall", costs.syscall).await;
-        if data.is_empty() {
-            return Ok(());
-        }
-        let end = off + data.len() as u64;
-        // Inline fast path / spill decision.
-        enum Route {
-            Inline,
-            Spill(Vec<u8>),
-            Extents,
-        }
-        let route = {
+    /// Moves an inline file into the extent tree (one-way), rewriting its
+    /// bytes through the block path; a no-op for an extent file.
+    async fn spill(&self, span: SpanId) -> FsResult<()> {
+        let old = {
             let mut inodes = self.fs.inner.inodes.borrow_mut();
             let inode = inodes[self.ino as usize]
                 .as_mut()
                 .ok_or(FsError::NotFound)?;
-            match &mut inode.data {
-                FileData::Inline(buf) => {
-                    if end as usize <= self.fs.inner.params.inline_max {
-                        Route::Inline
-                    } else {
-                        // Spill: the file outgrew the inode record. One-way.
-                        let old = std::mem::take(buf);
-                        inode.data = FileData::Extents(ExtentTree::new());
-                        Route::Spill(old)
-                    }
-                }
-                FileData::Extents(_) => Route::Extents,
-            }
+            let FileData::Inline(buf) = &mut inode.data else {
+                return Ok(());
+            };
+            let old = std::mem::take(buf);
+            inode.data = FileData::Extents(ExtentTree::new());
+            old
         };
-        match route {
-            Route::Inline => {
-                if mode == AccessMode::Copy {
-                    self.fs.charge("copy", costs.copy(data.len())).await;
-                }
-                let mut inodes = self.fs.inner.inodes.borrow_mut();
-                let inode = inodes[self.ino as usize]
-                    .as_mut()
-                    .ok_or(FsError::NotFound)?;
-                let FileData::Inline(buf) = &mut inode.data else {
-                    return Err(FsError::Corrupt);
-                };
-                if buf.len() < end as usize {
-                    buf.resize(end as usize, 0);
-                }
-                buf[off as usize..end as usize].copy_from_slice(data);
-                inode.size = inode.size.max(end);
-                Ok(())
-            }
-            Route::Spill(old) => {
-                self.fs.inner.frag.update(|f| {
-                    f.inline_files -= 1;
-                    f.extent_files += 1;
-                });
-                if !old.is_empty() {
-                    self.extent_write(0, &old, AccessMode::Copy, span).await?;
-                }
-                self.extent_write(off, data, mode, span).await
-            }
-            Route::Extents => self.extent_write(off, data, mode, span).await,
+        self.fs.inner.frag.update(|f| {
+            f.inline_files -= 1;
+            f.extent_files += 1;
+        });
+        if !old.is_empty() {
+            self.extent_write(0, &old, AccessMode::Copy, span).await?;
         }
+        Ok(())
     }
 
     async fn extent_write(
@@ -874,37 +804,10 @@ impl ExtFile {
             .ensure_allocated(self.ino, end.div_ceil(BLOCK_SIZE as u64))?;
         let old_size = self.size();
         let old_blocks = old_size.div_ceil(BLOCK_SIZE as u64);
-        // Extent file systems have no holes: a write past EOF must
-        // zero-fill the gap blocks, or reads would expose whatever the
-        // recycled disk blocks last held. (UFS avoids this cost with real
-        // holes — one of the paper's points in its favor.)
         if off > old_size {
-            let first_gap = old_size.div_ceil(BLOCK_SIZE as u64);
-            let gap_end = off / BLOCK_SIZE as u64; // Write loop covers off's own block.
-            for lbn in first_gap..gap_end {
-                let key = PageKey {
-                    vnode: self.id(),
-                    offset: lbn * BLOCK_SIZE as u64,
-                };
-                let pid = match self.fs.inner.cache.lookup(key) {
-                    Some(pid) => {
-                        self.fs.inner.cache.wait_unbusy(pid).await;
-                        self.fs.inner.cache.write_at(pid, 0, &[0u8; BLOCK_SIZE]);
-                        pid
-                    }
-                    None => {
-                        let pid = self
-                            .fs
-                            .inner
-                            .cache
-                            .create_traced(key, self.state.io.id().as_u32(), span)
-                            .await;
-                        self.fs.inner.cache.unbusy(pid); // Created zeroed.
-                        pid
-                    }
-                };
-                self.fs.inner.cache.mark_dirty(pid);
-            }
+            // The write loop covers off's own block.
+            self.zero_fill(old_blocks..off / BLOCK_SIZE as u64, span)
+                .await?;
         }
         let mut pos = off;
         let mut src = 0usize;
@@ -928,7 +831,7 @@ impl ExtFile {
                         .fs
                         .inner
                         .cache
-                        .create_traced(key, self.state.io.id().as_u32(), span)
+                        .create_traced(key, self.io.id().as_u32(), span)
                         .await;
                     if !full && lbn < old_blocks {
                         // Read-modify-write of an existing partial block.
@@ -965,32 +868,86 @@ impl ExtFile {
                     inode.size = pos + n as u64;
                 }
             }
-            let action = self
-                .state
-                .dw
-                .borrow_mut()
-                .on_putpage(lbn, self.fs.inner.params.extent_blocks);
-            match action {
-                WriteAction::Delay => {}
-                WriteAction::Push(r) | WriteAction::PushThenDelay(r) => {
-                    self.fs.flush_range(self, r, WriteReason::Flush).await?;
-                }
-            }
+            self.fs.putpage(self, lbn).await?;
             pos += n as u64;
             src += n;
         }
         Ok(())
     }
 
+    /// Extent file systems have no holes: blocks a file grows over without
+    /// writing them (a write past EOF, an extending truncate) are
+    /// zero-filled dirty pages, offered to putpage like written ones, or
+    /// reads would expose whatever the recycled disk blocks last held.
+    /// (UFS avoids this cost with real holes — one of the paper's points
+    /// in its favor.)
+    async fn zero_fill(&self, blocks: std::ops::Range<u64>, span: SpanId) -> FsResult<()> {
+        let cache = &self.fs.inner.cache;
+        for lbn in blocks {
+            let key = PageKey {
+                vnode: self.id(),
+                offset: lbn * BLOCK_SIZE as u64,
+            };
+            let pid = match cache.lookup(key) {
+                Some(pid) => {
+                    cache.wait_unbusy(pid).await;
+                    cache.write_at(pid, 0, &[0u8; BLOCK_SIZE]);
+                    pid
+                }
+                None => {
+                    let pid = cache.create_traced(key, self.io.id().as_u32(), span).await;
+                    cache.unbusy(pid); // Created zeroed.
+                    pid
+                }
+            };
+            cache.mark_dirty(pid);
+            self.fs.putpage(self, lbn).await?;
+        }
+        Ok(())
+    }
+
+    /// Extends the file with zeros to `size` bytes: an inline file grows
+    /// in place up to `inline_max` and spills into extents past it; an
+    /// extent file zero-fills its new blocks.
+    async fn extend(&self, size: u64) -> FsResult<()> {
+        {
+            let mut inodes = self.fs.inner.inodes.borrow_mut();
+            let inode = inodes[self.ino as usize]
+                .as_mut()
+                .ok_or(FsError::NotFound)?;
+            if let FileData::Inline(buf) = &mut inode.data {
+                if size as usize <= self.fs.inner.params.inline_max {
+                    buf.resize(size as usize, 0);
+                    inode.size = size;
+                    return Ok(());
+                }
+            }
+        }
+        self.spill(SpanId::NONE).await?;
+        let blocks = size.div_ceil(BLOCK_SIZE as u64);
+        self.fs.ensure_allocated(self.ino, blocks)?;
+        let old_blocks = self.size().div_ceil(BLOCK_SIZE as u64);
+        self.zero_fill(old_blocks..blocks, SpanId::NONE).await?;
+        let mut inodes = self.fs.inner.inodes.borrow_mut();
+        inodes[self.ino as usize]
+            .as_mut()
+            .ok_or(FsError::NotFound)?
+            .size = size;
+        Ok(())
+    }
+
     async fn truncate_impl(&self, size: u64) -> FsResult<()> {
         self.fsync().await?;
+        if size > self.size() {
+            return self.extend(size).await;
+        }
         let keep_blocks = size.div_ceil(BLOCK_SIZE as u64);
         let freed: Vec<(u32, u32)> = {
             let mut inodes = self.fs.inner.inodes.borrow_mut();
             let inode = inodes[self.ino as usize]
                 .as_mut()
                 .ok_or(FsError::NotFound)?;
-            inode.size = size.min(inode.size);
+            inode.size = size;
             match &mut inode.data {
                 FileData::Inline(buf) => {
                     buf.truncate(size as usize);
@@ -1009,10 +966,10 @@ impl ExtFile {
                 }
             }
         };
-        self.fs
-            .inner
-            .cache
-            .invalidate_vnode(self.id(), keep_blocks * BLOCK_SIZE as u64);
+        let cache = &self.fs.inner.cache;
+        let from = keep_blocks * BLOCK_SIZE as u64;
+        cache.wait_unbusy_vnode(self.id(), from).await;
+        cache.invalidate_vnode(self.id(), from);
         for (pbn, len) in freed {
             self.fs.free_extent(pbn, len)?;
         }
@@ -1064,11 +1021,7 @@ impl FileSystem for ExtentFs {
             return Err(FsError::Invalid);
         }
         if let Some(ino) = self.find(name) {
-            let f = ExtFile {
-                fs: self.clone(),
-                ino,
-                state: self.open_state(ino),
-            };
+            let f = self.file(ino);
             f.truncate(0).await?;
             return Ok(f);
         }
@@ -1086,32 +1039,20 @@ impl FileSystem for ExtentFs {
             slot as u32
         };
         self.inner.frag.update(|f| f.inline_files += 1);
-        Ok(ExtFile {
-            fs: self.clone(),
-            ino: slot,
-            state: self.open_state(slot),
-        })
+        Ok(self.file(slot))
     }
 
     async fn open(&self, path: &str) -> FsResult<ExtFile> {
         let name = path.trim_start_matches('/');
         let ino = self.find(name).ok_or(FsError::NotFound)?;
-        Ok(ExtFile {
-            fs: self.clone(),
-            ino,
-            state: self.open_state(ino),
-        })
+        Ok(self.file(ino))
     }
 
     async fn remove(&self, path: &str) -> FsResult<()> {
         let name = path.trim_start_matches('/');
         let ino = self.find(name).ok_or(FsError::NotFound)?;
-        let f = ExtFile {
-            fs: self.clone(),
-            ino,
-            state: self.open_state(ino),
-        };
-        f.truncate(0).await?;
+        self.file(ino).truncate(0).await?;
+        self.inner.cache.wait_unbusy_vnode(self.vid(ino), 0).await;
         self.inner.cache.invalidate_vnode(self.vid(ino), 0);
         let was_inline = {
             let mut inodes = self.inner.inodes.borrow_mut();
@@ -1132,12 +1073,7 @@ impl FileSystem for ExtentFs {
     async fn sync(&self) -> FsResult<()> {
         let inos: Vec<u32> = self.inner.open.borrow().keys().copied().collect();
         for ino in inos {
-            let f = ExtFile {
-                fs: self.clone(),
-                ino,
-                state: self.open_state(ino),
-            };
-            f.fsync().await?;
+            self.file(ino).fsync().await?;
         }
         Ok(())
     }
@@ -1397,9 +1333,48 @@ mod tests {
     }
 
     #[test]
+    fn truncate_extends_with_zeros() {
+        let sim = Sim::new();
+        let s = sim.clone();
+        sim.run_until(async move {
+            let (fs, _disk) = world(&s, 4);
+            // An extent file grows through the zero-filled gap path.
+            let f = fs.create("big").await.unwrap();
+            let head = pattern(20_000, 5);
+            f.write(0, &head, AccessMode::Copy).await.unwrap();
+            f.truncate(100_000).await.unwrap();
+            assert_eq!(f.size(), 100_000);
+            let back = f.read(0, 100_000, AccessMode::Copy).await.unwrap();
+            assert_eq!(&back[..20_000], &head[..]);
+            assert!(
+                back[20_000..].iter().all(|&b| b == 0),
+                "extension reads zero"
+            );
+            f.fsync().await.unwrap();
+            assert!(fs.check().is_empty(), "{:?}", fs.check());
+
+            // An inline file grows in place up to `inline_max`...
+            let g = fs.create("small").await.unwrap();
+            let tiny = pattern(100, 6);
+            g.write(0, &tiny, AccessMode::Copy).await.unwrap();
+            g.truncate(400).await.unwrap();
+            assert_eq!(g.size(), 400);
+            assert_eq!(fs.allocated_blocks(g.ino), 0, "still inline");
+            // ...and spills into extents past it.
+            g.truncate(50_000).await.unwrap();
+            assert_eq!(g.size(), 50_000);
+            assert!(fs.allocated_blocks(g.ino) > 0, "spilled to the tree");
+            let back = g.read(0, 50_000, AccessMode::Copy).await.unwrap();
+            assert_eq!(&back[..100], &tiny[..]);
+            assert!(back[100..].iter().all(|&b| b == 0), "extension reads zero");
+            assert!(fs.check().is_empty(), "{:?}", fs.check());
+        });
+    }
+
+    #[test]
     fn fragmented_read_batches_into_one_unit() {
         // A file whose extent unit spans discontiguous physical runs must
-        // still read in one batched intent: one setup, one disk read per
+        // still read in one batch: one setup, one disk read per
         // run, one logical unit read in the counters.
         let sim = Sim::new();
         let s = sim.clone();

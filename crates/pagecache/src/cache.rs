@@ -772,8 +772,37 @@ impl PageCache {
         self.inner.metrics.destroys.inc();
     }
 
+    /// Waits until no page of `vnode` with offset ≥ `from` is busy (an
+    /// in-flight read-ahead fill or writeback), so that
+    /// [`PageCache::invalidate_vnode`] may follow; returns without
+    /// awaiting when none is. Truncate and unlink call it first.
+    pub async fn wait_unbusy_vnode(&self, vnode: VnodeId, from: u64) {
+        loop {
+            // Lowest offset first, so the wait does not depend on hash
+            // iteration order.
+            let busy = {
+                let pages = self.inner.pages.borrow();
+                self.inner
+                    .hash
+                    .borrow()
+                    .iter()
+                    .filter(|(k, &i)| k.vnode == vnode && k.offset >= from && pages[i].busy)
+                    .min_by_key(|(k, _)| k.offset)
+                    .map(|(_, &idx)| PageId {
+                        idx,
+                        generation: pages[idx].generation,
+                    })
+            };
+            match busy {
+                Some(id) => self.wait_unbusy(id).await,
+                None => return,
+            }
+        }
+    }
+
     /// Destroys the identity of every page of `vnode` with offset ≥ `from`
-    /// (truncate/unlink). Pages must not be busy.
+    /// (truncate/unlink). Pages must not be busy: wait them out with
+    /// [`PageCache::wait_unbusy_vnode`] first.
     pub fn invalidate_vnode(&self, vnode: VnodeId, from: u64) {
         let mut victims: Vec<(PageKey, usize)> = self
             .inner
@@ -1253,6 +1282,31 @@ mod tests {
             assert!(pc2.lookup(key(5, 2 * 8192)).is_none());
             assert!(pc2.lookup(key(5, 3 * 8192)).is_none());
             pc2.assert_consistent();
+        });
+    }
+
+    #[test]
+    fn wait_unbusy_vnode_waits_for_busy_pages_at_or_past_from() {
+        let sim = Sim::new();
+        let pc = cache(&sim);
+        let (pc2, s) = (pc.clone(), sim.clone());
+        sim.run_until(async move {
+            let low = pc2.create(key(5, 0)).await; // Busy, below `from`.
+            let high = pc2.create(key(5, 8192)).await;
+            let t0 = s.now();
+            let (pc3, s3) = (pc2.clone(), s.clone());
+            s.spawn(async move {
+                s3.sleep(SimDuration::from_millis(3)).await;
+                pc3.unbusy(high);
+            });
+            pc2.wait_unbusy_vnode(5, 8192).await;
+            assert_eq!(s.now().duration_since(t0), SimDuration::from_millis(3));
+            assert!(pc2.is_busy(low), "pages below `from` are not waited for");
+            pc2.invalidate_vnode(5, 8192);
+            // Nothing busy: returns at once.
+            pc2.wait_unbusy_vnode(5, 8192).await;
+            assert_eq!(s.now().duration_since(t0), SimDuration::from_millis(3));
+            pc2.unbusy(low);
         });
     }
 

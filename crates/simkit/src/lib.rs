@@ -57,4 +57,4 @@ pub use rng::SimRng;
 pub use stats::{Counter, Gauge, Histogram, NameId, StatsRegistry, TimeWeighted};
 pub use sync::{Event, Notify, SemPermit, Semaphore};
 pub use time::{SimDuration, SimTime};
-pub use trace::{Span, SpanId, Tracer};
+pub use trace::{Span, SpanGuard, SpanId, Tracer};

@@ -136,6 +136,16 @@ impl Tracer {
         id
     }
 
+    /// Opens a span like [`Tracer::start`] and returns a guard that closes
+    /// it when dropped, so a function's span ends at whichever `return`
+    /// (or `?`) leaves it.
+    pub fn enter(&self, name: &'static str, stream: u32, parent: SpanId) -> SpanGuard<'_> {
+        SpanGuard {
+            tracer: self,
+            id: self.start(name, stream, parent),
+        }
+    }
+
     /// Closes `span` at the current virtual time. Ignores `NONE`; panics
     /// on a double close (that's an instrumentation bug worth hearing
     /// about).
@@ -213,6 +223,26 @@ impl Tracer {
     }
 }
 
+/// An open span that [`Tracer::end`]s itself on drop (see
+/// [`Tracer::enter`]).
+pub struct SpanGuard<'a> {
+    tracer: &'a Tracer,
+    id: SpanId,
+}
+
+impl SpanGuard<'_> {
+    /// The span's id, to parent children or attach arguments.
+    pub fn id(&self) -> SpanId {
+        self.id
+    }
+}
+
+impl Drop for SpanGuard<'_> {
+    fn drop(&mut self) {
+        self.tracer.end(self.id);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,6 +288,32 @@ mod tests {
         assert_eq!(root.start, SimTime::ZERO);
         assert_eq!(root.end, Some(SimTime::ZERO + SimDuration::from_millis(2)));
         assert!(sim.tracer().is_empty(), "take drains");
+    }
+
+    #[test]
+    fn guard_ends_its_span_on_drop() {
+        let sim = Sim::new();
+        sim.tracer().set_enabled(true);
+        let tr = sim.tracer().clone();
+        let s = sim.clone();
+        sim.run_until(async move {
+            let outer = tr.enter("read", 1, SpanId::NONE);
+            {
+                let inner = tr.enter("getpage", 1, outer.id());
+                tr.arg(inner.id(), "lbn", 4);
+                s.sleep(SimDuration::from_millis(1)).await;
+            }
+            s.sleep(SimDuration::from_millis(2)).await;
+        });
+        let spans = sim.tracer().take_spans();
+        assert_eq!(spans[1].parent, spans[0].id);
+        assert_eq!(spans[1].args, vec![("lbn", 4)]);
+        assert_eq!(spans[1].duration(), Some(SimDuration::from_millis(1)));
+        assert_eq!(spans[0].duration(), Some(SimDuration::from_millis(3)));
+        // Disabled: the guard holds `NONE` and its drop records nothing.
+        sim.tracer().set_enabled(false);
+        drop(sim.tracer().enter("x", 0, SpanId::NONE));
+        assert!(sim.tracer().is_empty());
     }
 
     #[test]

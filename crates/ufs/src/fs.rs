@@ -4,7 +4,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use clufs::{BmapCache, DelayedWrite, FreeBehindPolicy, PrefetchPolicy, Tuning};
+use clufs::{BmapCache, FreeBehindPolicy, Tuning};
 use diskmodel::{BlockDeviceExt, DiskOp, DiskRequest, SharedDevice};
 use pagecache::{CleanRequest, PageCache, VnodeId};
 use simkit::stats::{Counter, Histogram};
@@ -159,11 +159,10 @@ pub struct Incore {
     pub din: RefCell<Dinode>,
     /// Needs writing back.
     pub dirty: Cell<bool>,
-    /// Delayed-write accumulator (`delayoff`/`delaylen`), in page units.
-    pub dw: RefCell<DelayedWrite>,
     /// Per-open-file I/O identity: the stream label every request this
-    /// file issues carries, the paper's write throttle, and the
-    /// pending-write count used to quiesce before truncate/remove.
+    /// file issues carries, the paper's write throttle and delayed-write
+    /// accumulator (`delayoff`/`delaylen`), and the pending-write count
+    /// used to quiesce before truncate/remove.
     pub io: Rc<FileStream>,
     /// Further Work extent-tuple cache.
     pub bmap_cache: RefCell<BmapCache>,
@@ -192,7 +191,6 @@ impl Incore {
             ino,
             din: RefCell::new(din),
             dirty: Cell::new(false),
-            dw: RefCell::new(DelayedWrite::new()),
             io: FileStream::new(sim, vid, tuning.write_limit),
             bmap_cache: RefCell::new(BmapCache::new(8)),
             may_have_holes: Cell::new(true),
@@ -221,7 +219,7 @@ pub(crate) struct UfsInner {
     pub(crate) inodes: RefCell<IntMap<u32, Rc<Incore>>>,
     pub(crate) stats: RefCell<UfsStats>,
     pub(crate) metrics: UfsMetrics,
-    /// Shared I/O executor: resolves `IoIntent`s against the cache and
+    /// Shared I/O executor: moves clusters between the cache and the
     /// disk, and tracks readahead-pending pages for prefetch accuracy.
     pub(crate) iopath: IoPath,
     /// Round-robin start for directory placement.
@@ -292,16 +290,8 @@ impl Ufs {
             params.tuning.io_retry_max,
             params.tuning.io_retry_backoff_ms,
         );
-        // The per-stream prefetch engines live in the executor; the
-        // `readahead` ablation switch overrides the policy to Off.
-        iopath.set_prefetch(
-            if params.tuning.readahead {
-                params.tuning.prefetch
-            } else {
-                PrefetchPolicy::Off
-            },
-            params.tuning.io_cluster_blocks(),
-        );
+        // The per-stream prefetch engines live in the executor.
+        iopath.set_prefetch(params.tuning.prefetch, params.tuning.io_cluster_blocks());
         let ufs = Ufs {
             inner: Rc::new(UfsInner {
                 sim: sim.clone(),
@@ -616,19 +606,16 @@ impl Ufs {
             self.inner.stats.borrow_mut().cleaner_pages += 1;
             // Cluster around the victim: the whole delayed run if the
             // victim falls inside it, else just the page run.
-            let flush = {
-                let mut dw = ip.dw.borrow_mut();
-                match dw.pending() {
-                    Some(r) if r.contains(&page) => {
-                        dw.flush();
-                        r
-                    }
-                    _ => page..page + 1,
-                }
-            };
-            let _ = self
-                .flush_page_range(&ip, flush, vfs::iopath::WriteReason::Cleaner, true)
-                .await;
+            let run = ip.io.take_run_around(page);
+            let map = crate::vnops::UfsMap { fs: self, ip: &ip };
+            if let Ok(clusters) = self
+                .inner
+                .iopath
+                .write_clusters(&ip.io, &map, run, true)
+                .await
+            {
+                self.count_writes(&clusters);
+            }
         }
     }
 }

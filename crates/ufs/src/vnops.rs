@@ -4,13 +4,10 @@
 
 use std::rc::Rc;
 
-use clufs::{PrefetchPolicy, WriteAction};
+use clufs::PrefetchPolicy;
 use pagecache::{PageId, PageKey};
 use simkit::SpanId;
-use vfs::iopath::{
-    BlockMap, Executed, FreeBehind, IoIntent, Probes, ReadReason, ReadRuns, WriteCluster,
-    WriteReason,
-};
+use vfs::iopath::{BlockMap, DirtySweep, Probes, ReadRuns};
 use vfs::{AccessMode, FileSystem, FsError, FsResult, StreamId, Vnode, VnodeId};
 
 use crate::fs::{Incore, Ufs};
@@ -18,9 +15,9 @@ use crate::layout::{Dinode, FileKind, BLOCK_SIZE, INLINE_MAX};
 
 /// [`BlockMap`] view of one UFS file: extents come from `bmap` (with its
 /// cache and hole handling), the transfer cap from the mount's tuning.
-struct UfsMap<'a> {
-    fs: &'a Ufs,
-    ip: &'a Rc<Incore>,
+pub(crate) struct UfsMap<'a> {
+    pub(crate) fs: &'a Ufs,
+    pub(crate) ip: &'a Rc<Incore>,
 }
 
 impl BlockMap for UfsMap<'_> {
@@ -111,20 +108,9 @@ impl Ufs {
         parent: SpanId,
     ) -> FsResult<PageId> {
         let tracer = self.inner.sim.tracer();
-        let span = tracer.start("fs.getpage", ip.io.id().as_u32(), parent);
+        let guard = tracer.enter("fs.getpage", ip.io.id().as_u32(), parent);
+        let span = guard.id();
         tracer.arg(span, "lbn", lbn);
-        let r = self.getpage_inner(ip, lbn, hint_blocks, span).await;
-        self.inner.sim.tracer().end(span);
-        r
-    }
-
-    async fn getpage_inner(
-        &self,
-        ip: &Rc<Incore>,
-        lbn: u64,
-        hint_blocks: u32,
-        span: SpanId,
-    ) -> FsResult<PageId> {
         let costs = self.inner.params.costs;
         let iopath = &self.inner.iopath;
         let key = self.page_key(ip, lbn);
@@ -189,16 +175,13 @@ impl Ufs {
                 };
                 let run = plan.sync.expect("uncached non-hole access plans a read");
                 debug_assert_eq!(run.lbn, lbn);
-                let intent = IoIntent::ReadRuns(ReadRuns {
+                let rr = ReadRuns {
                     lbn,
                     len: run.blocks,
-                    reason: ReadReason::Demand,
                     at: Some(pbn),
                     sieve: None,
-                });
-                if let Executed::BatchIssued(io) =
-                    iopath.execute(&ip.io, &map, intent, span).await?
-                {
+                };
+                if let Some(io) = iopath.read_runs(&ip.io, &map, rr, span).await? {
                     let n = io.blocks() as u64;
                     {
                         let mut stats = self.inner.stats.borrow_mut();
@@ -221,17 +204,14 @@ impl Ufs {
                     (false, Some((pbn, _))) => Some(pbn),
                     (false, None) => continue,
                 };
-                let intent = IoIntent::ReadRuns(ReadRuns {
+                let rr = ReadRuns {
                     lbn: run.lbn,
                     len: run.blocks,
-                    reason: ReadReason::Readahead,
                     at,
                     sieve: run.sieve,
-                });
-                if let Executed::ReadaheadIssued { blocks } =
-                    iopath.execute(&ip.io, &map, intent, span).await?
-                {
-                    let blocks = blocks as u64;
+                };
+                let blocks = iopath.read_ahead(&ip.io, &map, rr).await? as u64;
+                if blocks > 0 {
                     {
                         let mut stats = self.inner.stats.borrow_mut();
                         stats.readaheads += 1;
@@ -253,90 +233,42 @@ impl Ufs {
         }
     }
 
-    /// `ufs_putpage` policy for one dirtied page: the clustered path lies
-    /// and accumulates (Figures 7/8); the old path starts the block's write
-    /// immediately.
+    /// `ufs_putpage` for one dirtied page: charges its CPU and offers the
+    /// page to the shared delayed-write path. The clustered path lies and
+    /// accumulates (Figures 7/8); the old path's 1-block unit pushes every
+    /// page at once.
     pub(crate) async fn putpage_write(&self, ip: &Rc<Incore>, lbn: u64) -> FsResult<()> {
         self.charge("putpage", self.inner.params.costs.putpage)
             .await;
-        if self.inner.params.tuning.clustering {
-            let action = ip
-                .dw
-                .borrow_mut()
-                .on_putpage(lbn, self.inner.params.tuning.maxcontig);
-            match action {
-                WriteAction::Delay => Ok(()),
-                WriteAction::Push(r) | WriteAction::PushThenDelay(r) => {
-                    self.flush_page_range(ip, r, WriteReason::Flush, false)
-                        .await
-                }
-            }
-        } else {
-            self.flush_page_range(ip, lbn..lbn + 1, WriteReason::Flush, false)
-                .await
-        }
+        let map = UfsMap { fs: self, ip };
+        let unit = self.inner.params.tuning.io_cluster_blocks();
+        let clusters = self.inner.iopath.putpage(&ip.io, &map, lbn, unit).await?;
+        self.count_writes(&clusters);
+        Ok(())
     }
 
-    /// Writes out the dirty pages in `[range)` through the shared executor,
-    /// one bmap-contiguous cluster at a time (the Figure 8 while loop).
-    /// With `free_after`, pages are freed once written (pageout-initiated
-    /// cleaning).
-    pub(crate) async fn flush_page_range(
-        &self,
-        ip: &Rc<Incore>,
-        range: std::ops::Range<u64>,
-        reason: WriteReason,
-        free_after: bool,
-    ) -> FsResult<()> {
-        let map = UfsMap { fs: self, ip };
-        let intent = IoIntent::WriteCluster(WriteCluster {
-            range,
-            reason,
-            free_behind: free_after,
-        });
-        match self
-            .inner
-            .iopath
-            .execute(&ip.io, &map, intent, SpanId::NONE)
-            .await?
-        {
-            Executed::Wrote { cluster_blocks } => {
-                for n in cluster_blocks {
-                    {
-                        let mut stats = self.inner.stats.borrow_mut();
-                        stats.cluster_writes += 1;
-                        stats.blocks_written += n as u64;
-                    }
-                    self.inner.metrics.cluster_writes.inc();
-                    self.inner.metrics.blocks_written.add(n as u64);
-                    self.inner.metrics.cluster_write_blocks.observe(n as u64);
-                }
-                Ok(())
+    /// Counts the clusters one push issued.
+    pub(crate) fn count_writes(&self, clusters: &[u32]) {
+        for &n in clusters {
+            {
+                let mut stats = self.inner.stats.borrow_mut();
+                stats.cluster_writes += 1;
+                stats.blocks_written += n as u64;
             }
-            _ => unreachable!("write sweeps resolve to Wrote"),
+            self.inner.metrics.cluster_writes.inc();
+            self.inner.metrics.blocks_written.add(n as u64);
+            self.inner.metrics.cluster_write_blocks.observe(n as u64);
         }
     }
 
     /// Flushes delayed writes and all dirty pages of the file, waits for
     /// the I/O, and writes the inode back.
     pub(crate) async fn fsync_inode(&self, ip: &Rc<Incore>) -> FsResult<()> {
-        let pending = ip.dw.borrow_mut().flush();
-        if let Some(r) = pending {
-            self.flush_page_range(ip, r, WriteReason::Fsync, false)
-                .await?;
-        }
-        // Any other dirty pages (random writes, cleaner races).
-        let offsets = self.inner.cache.dirty_offsets(self.vid(ip.ino));
-        for chunk in contiguous_runs(&offsets) {
-            self.flush_page_range(ip, chunk, WriteReason::Fsync, false)
-                .await?;
-        }
-        ip.io.quiesce().await;
-        // Deferred writes fail with no caller to tell; the sticky stream
-        // error makes this fsync the one that reports the loss.
-        if ip.io.take_io_error() {
-            return Err(FsError::Io);
-        }
+        let map = UfsMap { fs: self, ip };
+        self.inner
+            .iopath
+            .fsync(&ip.io, &map, DirtySweep::Runs, |c| self.count_writes(c))
+            .await?;
         if ip.dirty.get() {
             self.iflush(ip, true).await;
         }
@@ -381,22 +313,10 @@ impl Ufs {
         // One root span per request: everything the request waited on
         // (faults, cache probes, queue and service time) nests below.
         let tracer = self.inner.sim.tracer();
-        let span = tracer.start("fs.read", ip.io.id().as_u32(), SpanId::NONE);
+        let guard = tracer.enter("fs.read", ip.io.id().as_u32(), SpanId::NONE);
+        let span = guard.id();
         tracer.arg(span, "off", off);
         tracer.arg(span, "bytes", buf.len() as u64);
-        let r = self.rdwr_read_inner(ip, off, buf, mode, span).await;
-        self.inner.sim.tracer().end(span);
-        r
-    }
-
-    async fn rdwr_read_inner(
-        &self,
-        ip: &Rc<Incore>,
-        off: u64,
-        buf: &mut [u8],
-        mode: AccessMode,
-        span: SpanId,
-    ) -> FsResult<usize> {
         let costs = self.inner.params.costs;
         // mmap access is a pure fault path: no syscall, no kernel
         // map/unmap, no copyout — exactly why the paper's Figure 12 uses
@@ -453,18 +373,10 @@ impl Ufs {
                 pos,
                 self.inner.cache.free_count(),
                 self.inner.cache.lotsfree(),
-            ) {
-                let map = UfsMap { fs: self, ip };
-                let intent = IoIntent::FreeBehind(FreeBehind { lbn, page: pid });
-                if let Executed::Freed(true) = self
-                    .inner
-                    .iopath
-                    .execute(&ip.io, &map, intent, span)
-                    .await?
-                {
-                    self.inner.stats.borrow_mut().free_behinds += 1;
-                    self.inner.metrics.free_behind_pages.inc();
-                }
+            ) && self.inner.iopath.free_behind(pid)
+            {
+                self.inner.stats.borrow_mut().free_behinds += 1;
+                self.inner.metrics.free_behind_pages.inc();
             }
             pos += n as u64;
             dst += n;
@@ -481,22 +393,10 @@ impl Ufs {
         mode: AccessMode,
     ) -> FsResult<()> {
         let tracer = self.inner.sim.tracer();
-        let span = tracer.start("fs.write", ip.io.id().as_u32(), SpanId::NONE);
+        let guard = tracer.enter("fs.write", ip.io.id().as_u32(), SpanId::NONE);
+        let span = guard.id();
         tracer.arg(span, "off", off);
         tracer.arg(span, "bytes", data.len() as u64);
-        let r = self.rdwr_write_inner(ip, off, data, mode, span).await;
-        self.inner.sim.tracer().end(span);
-        r
-    }
-
-    async fn rdwr_write_inner(
-        &self,
-        ip: &Rc<Incore>,
-        off: u64,
-        data: &[u8],
-        mode: AccessMode,
-        span: SpanId,
-    ) -> FsResult<()> {
         let costs = self.inner.params.costs;
         self.charge("syscall", costs.syscall).await;
         if data.is_empty() {
@@ -673,9 +573,10 @@ impl Ufs {
             din.nlink
         };
         if remaining == 0 {
-            // Quiesce in-flight writes, discard pages, release storage.
-            ip.dw.borrow_mut().flush();
+            // Quiesce in-flight I/O, discard pages, release storage.
+            ip.io.drop_delayed();
             ip.io.quiesce().await;
+            self.inner.cache.wait_unbusy_vnode(self.vid(ino), 0).await;
             self.inner.cache.invalidate_vnode(self.vid(ino), 0);
             self.free_blocks_from(&ip, 0).await?;
             {
@@ -690,26 +591,6 @@ impl Ufs {
         }
         Ok(())
     }
-}
-
-/// Groups sorted byte offsets into runs of consecutive pages.
-fn contiguous_runs(offsets: &[u64]) -> Vec<std::ops::Range<u64>> {
-    let mut out = Vec::new();
-    let mut iter = offsets.iter().map(|o| o / BLOCK_SIZE as u64);
-    let Some(first) = iter.next() else {
-        return out;
-    };
-    let mut start = first;
-    let mut prev = first;
-    for p in iter {
-        if p != prev + 1 {
-            out.push(start..prev + 1);
-            start = p;
-        }
-        prev = p;
-    }
-    out.push(start..prev + 1);
-    out
 }
 
 impl Vnode for UfsFile {
@@ -740,7 +621,7 @@ impl Vnode for UfsFile {
     async fn truncate(&self, size: u64) -> FsResult<()> {
         let ip = &self.ip;
         // Settle pending I/O so pages can be invalidated.
-        ip.dw.borrow_mut().flush();
+        ip.io.drop_delayed();
         ip.io.quiesce().await;
         let old = ip.din.borrow().size;
         if size < old {
@@ -751,7 +632,9 @@ impl Vnode for UfsFile {
             } else {
                 let from_lbn = size.div_ceil(BLOCK_SIZE as u64);
                 let page_from = from_lbn * BLOCK_SIZE as u64;
-                self.fs.inner.cache.invalidate_vnode(self.id(), page_from);
+                let cache = &self.fs.inner.cache;
+                cache.wait_unbusy_vnode(self.id(), page_from).await;
+                cache.invalidate_vnode(self.id(), page_from);
                 self.fs.free_blocks_from(ip, from_lbn).await?;
                 // Zero the tail of the (kept) final partial block, or a
                 // later extension would expose the stale bytes.
@@ -775,7 +658,7 @@ impl Vnode for UfsFile {
         ip.dirty.set(true);
         if size < old {
             // Reset the write predictor: the file shape changed.
-            *ip.dw.borrow_mut() = clufs::DelayedWrite::new();
+            ip.io.drop_delayed();
         }
         Ok(())
     }

@@ -5,9 +5,11 @@
 //! decide *what* to transfer, while the code that creates busy pages,
 //! charges setup/interrupt CPU, talks to the disk and completes pages is
 //! the same in every kernel. This module is that mechanism, factored out
-//! of `ufs::vnops` so both `ufs` and `extentfs` drive one executor:
-//! policy engines emit typed [`IoIntent`] values and [`IoPath::execute`]
-//! resolves them against the page cache and the disk.
+//! of `ufs::vnops` so both `ufs` and `extentfs` drive one executor through
+//! direct calls: [`IoPath::read_runs`] and [`IoPath::read_ahead`] on the
+//! fault path, [`IoPath::putpage`], [`IoPath::write_clusters`] and
+//! [`IoPath::fsync`] on the write path, [`IoPath::free_behind`] behind a
+//! sequential reader.
 //!
 //! Every open file carries a [`FileStream`] whose [`StreamId`] rides each
 //! request end to end — demand-fault cache lookups, cluster issues,
@@ -15,39 +17,20 @@
 //! originating stream, so the registry can answer "which stream got what
 //! share of the disk" (`disk.sectors_*{stream=N}`,
 //! `core.throttle_stalls{stream=N}`, `iopath.cluster_*_blocks{stream=N}`).
+//! The stream also owns the file's delayed-write state.
 
 use std::cell::{Cell, RefCell};
 use std::future::Future;
 use std::ops::Range;
 use std::rc::Rc;
 
-use clufs::{PrefetchPlan, PrefetchPolicy, Prefetcher, WriteThrottle};
+use clufs::{DelayedWrite, PrefetchPlan, PrefetchPolicy, Prefetcher, WriteAction, WriteThrottle};
 use diskmodel::{DataView, IoHandle, IoStatus, SharedDevice};
 use pagecache::{PageCache, PageId, PageKey};
 use simkit::stats::{Counter, Histogram};
 use simkit::{Cpu, IntMap, IntSet, Notify, Sim, SimDuration, SpanId};
 
 use crate::{FsError, FsResult, StreamId, VnodeId};
-
-/// Why a cluster read is being issued.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ReadReason {
-    /// A faulting access needs the first block now; the caller waits.
-    Demand,
-    /// Speculative read-ahead; the executor fills pages asynchronously.
-    Readahead,
-}
-
-/// Why dirty pages are being pushed.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum WriteReason {
-    /// The delayed-write policy decided a cluster is full (putpage push).
-    Flush,
-    /// An explicit fsync is forcing everything out.
-    Fsync,
-    /// The pageout daemon is cleaning under memory pressure.
-    Cleaner,
-}
 
 /// A run-list read: up to `len` logical blocks from `lbn`, moved in one
 /// batch. The executor pays one setup for the whole batch and issues one
@@ -58,7 +41,6 @@ pub enum WriteReason {
 pub struct ReadRuns {
     pub lbn: u64,
     pub len: u32,
-    pub reason: ReadReason,
     /// `Some(pbn)`: the caller already resolved `[lbn, lbn+len)` to one
     /// contiguous run starting at physical block `pbn`, so the executor
     /// skips [`BlockMap::runs`] (for UFS a second `bmap` walk, with its
@@ -71,53 +53,6 @@ pub struct ReadRuns {
     /// `io.prefetch_wasted_bytes` at issue. `None` = every block is
     /// wanted. Ignored for demand reads.
     pub sieve: Option<(u32, u32)>,
-}
-
-/// A writeback sweep over `[range)` of dirty pages, one block-map
-/// contiguous cluster at a time. With `free_behind`, pages are freed once
-/// written (pageout-initiated cleaning).
-#[derive(Clone, Debug)]
-pub struct WriteCluster {
-    pub range: Range<u64>,
-    pub reason: WriteReason,
-    pub free_behind: bool,
-}
-
-/// Release one consumed page behind a sequential reader (the free-behind
-/// policy already decided it should go).
-#[derive(Clone, Copy, Debug)]
-pub struct FreeBehind {
-    pub lbn: u64,
-    pub page: PageId,
-}
-
-/// A typed I/O request emitted by policy code and resolved by
-/// [`IoPath::execute`].
-#[derive(Clone, Debug)]
-pub enum IoIntent {
-    ReadRuns(ReadRuns),
-    WriteCluster(WriteCluster),
-    FreeBehind(FreeBehind),
-}
-
-/// What executing an [`IoIntent`] did.
-pub enum Executed {
-    /// A demand read is in flight; wait for it with
-    /// [`IoPath::finish_batch`].
-    BatchIssued(BatchRead),
-    /// A read-ahead was issued; `blocks` pages are being filled
-    /// asynchronously by the executor's completion task.
-    ReadaheadIssued { blocks: u32 },
-    /// The first page was already resident (for a demand read: a
-    /// concurrent fault created it first); no I/O was started. A demand
-    /// caller takes it through [`IoPath::revalidate`].
-    AlreadyCached,
-    /// The writeback sweep issued one cluster per entry (`blocks` each);
-    /// completions run asynchronously — quiesce via [`FileStream`].
-    Wrote { cluster_blocks: Vec<u32> },
-    /// Whether the free-behind page was actually released (busy or dirty
-    /// pages are left alone).
-    Freed(bool),
 }
 
 /// One in-flight transfer of a [`BatchRead`]: the handle, the device range
@@ -150,6 +85,19 @@ impl BatchRead {
     pub fn transfers(&self) -> usize {
         self.parts.len()
     }
+}
+
+/// How [`IoPath::fsync`] sweeps the dirty pages left after the delayed
+/// run.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum DirtySweep {
+    /// One writeback sweep per run of consecutive dirty pages (UFS).
+    Runs,
+    /// One sweep from the first dirty page to the last (extentfs). It
+    /// also looks up every resident clean page in between, counting a
+    /// cache hit and setting its reference bit, so the two forms are not
+    /// interchangeable without moving `cache.hits`.
+    Span,
 }
 
 /// Translation from logical file blocks to physical placement — the one
@@ -214,12 +162,15 @@ impl Probes {
 }
 
 /// Per-open-file I/O identity: the stream label, the paper's per-inode
-/// write throttle, and the in-flight write count used to quiesce before
-/// truncate/remove/fsync completion.
+/// write throttle and delayed-write state, and the in-flight write count
+/// used to quiesce before truncate/remove/fsync completion.
 pub struct FileStream {
     vnode: VnodeId,
     stream: StreamId,
     throttle: WriteThrottle,
+    /// The delayed-write accumulator (`delayoff`/`delaylen`, in pages)
+    /// that [`IoPath::putpage`] feeds.
+    delayed: RefCell<DelayedWrite>,
     pending_io: Cell<u32>,
     quiesce: Notify,
     /// Sticky deferred-write failure: asynchronous writeback has no caller
@@ -237,6 +188,7 @@ impl FileStream {
             vnode,
             stream,
             throttle: WriteThrottle::for_stream(sim, write_limit, stream.as_u32()),
+            delayed: RefCell::default(),
             pending_io: Cell::new(0),
             quiesce: Notify::new(),
             io_error: Cell::new(false),
@@ -256,6 +208,26 @@ impl FileStream {
     /// The file's write throttle (the paper's counting semaphore).
     pub fn throttle(&self) -> &WriteThrottle {
         &self.throttle
+    }
+
+    /// Forgets the delayed run without pushing it (truncate and remove:
+    /// its pages stay dirty, or are about to be discarded).
+    pub fn drop_delayed(&self) {
+        self.delayed.borrow_mut().flush();
+    }
+
+    /// The run a cleaner pushes for dirty victim `lbn`: the whole delayed
+    /// run if it holds the victim (which is then no longer delayed), else
+    /// the victim alone.
+    pub fn take_run_around(&self, lbn: u64) -> Range<u64> {
+        let mut dw = self.delayed.borrow_mut();
+        match dw.pending() {
+            Some(r) if r.contains(&lbn) => {
+                dw.flush();
+                r
+            }
+            _ => lbn..lbn + 1,
+        }
     }
 
     /// Writes currently in flight for this file.
@@ -653,47 +625,85 @@ impl IoPath {
         Some(id)
     }
 
-    /// Resolves one typed intent against the cache and the disk, nesting
-    /// its trace spans under `parent`.
-    ///
-    /// Only a demand read's span is actually parented there: read-ahead
-    /// fills and cluster writebacks complete asynchronously, *after* the
-    /// faulting operation returns, so their spans are roots — a span must
-    /// lie within its parent's interval for the trace to mean anything.
-    pub async fn execute(
-        &self,
-        fstream: &Rc<FileStream>,
-        map: &impl BlockMap,
-        intent: IoIntent,
-        parent: SpanId,
-    ) -> FsResult<Executed> {
-        match intent {
-            IoIntent::ReadRuns(rr) => self.read_runs(fstream, map, rr, parent).await,
-            IoIntent::WriteCluster(wc) => self.write_clusters(fstream, map, wc).await,
-            IoIntent::FreeBehind(fb) => Ok(Executed::Freed(self.free_page(fb))),
-        }
-    }
-
-    /// Resolves the file's run-list once (or takes the caller's `at`) and
-    /// moves up to `rr.len` blocks in one batch — busy pages are created
-    /// for the absent prefix (clipped at the first already-cached page),
-    /// one `io_setup` is charged for the whole batch, and one
-    /// stream-tagged transfer is submitted per physical run. Demand
-    /// batches return the in-flight [`BatchRead`]; read-ahead spawns the
-    /// fill task and returns.
-    async fn read_runs(
+    /// Issues a demand read: resolves the file's run-list once (or takes
+    /// the caller's `at`) and moves up to `rr.len` blocks in one batch,
+    /// nested under `parent`. Busy pages are created for the absent
+    /// prefix (clipped at the first already-cached page), one `io_setup`
+    /// is charged for the whole batch, and one stream-tagged transfer is
+    /// submitted per physical run. Returns the in-flight [`BatchRead`] for
+    /// [`IoPath::finish_batch`], or `None` when the first page is already
+    /// resident (a concurrent fault created it first): the caller takes it
+    /// through [`IoPath::revalidate`].
+    pub async fn read_runs(
         &self,
         fstream: &Rc<FileStream>,
         map: &impl BlockMap,
         rr: ReadRuns,
         parent: SpanId,
-    ) -> FsResult<Executed> {
+    ) -> FsResult<Option<BatchRead>> {
+        self.issue(fstream, map, rr, Some(parent)).await
+    }
+
+    /// Issues a read-ahead batch the same way and spawns its fill; returns
+    /// the blocks issued (0 when the first page is already resident or
+    /// nothing is mapped there).
+    ///
+    /// Its `iopath.readahead` span is a root: the fill completes after the
+    /// faulting operation returns, and a span must lie within its parent's
+    /// interval for the trace to mean anything.
+    pub async fn read_ahead(
+        &self,
+        fstream: &Rc<FileStream>,
+        map: &impl BlockMap,
+        rr: ReadRuns,
+    ) -> FsResult<u32> {
         let inner = &*self.inner;
-        if rr.reason == ReadReason::Readahead
-            && inner.cache.lookup(self.key(fstream, rr.lbn)).is_some()
-        {
-            return Ok(Executed::AlreadyCached);
+        if inner.cache.lookup(self.key(fstream, rr.lbn)).is_some() {
+            return Ok(0);
         }
+        let Some(io) = self.issue(fstream, map, rr, None).await? else {
+            return Ok(0);
+        };
+        let blocks = io.blocks();
+        inner.pf.issued.add(blocks as u64);
+        // Claim every wanted page; sieve gap filler is known wasted the
+        // moment it is issued.
+        let mut gap_blocks = 0u64;
+        {
+            let mut ra = inner.ra_pending.borrow_mut();
+            for part in &io.parts {
+                for (run_lbn, _) in &part.pages {
+                    let wanted = match rr.sieve {
+                        Some((keep, period)) if period > 0 => {
+                            ((run_lbn - rr.lbn) % period as u64) < keep as u64
+                        }
+                        _ => true,
+                    };
+                    if wanted {
+                        ra.insert(self.key(fstream, *run_lbn));
+                    } else {
+                        gap_blocks += 1;
+                    }
+                }
+            }
+        }
+        if gap_blocks > 0 {
+            inner.pf.wasted.add(gap_blocks * inner.block_size as u64);
+        }
+        self.spawn_readahead_fill(io);
+        Ok(blocks)
+    }
+
+    /// The batch issue shared by both reads; `demand` carries a demand
+    /// read's parent span (`None` = read-ahead).
+    async fn issue(
+        &self,
+        fstream: &Rc<FileStream>,
+        map: &impl BlockMap,
+        rr: ReadRuns,
+        demand: Option<SpanId>,
+    ) -> FsResult<Option<BatchRead>> {
+        let inner = &*self.inner;
         let (one, listed);
         let runs: &[(u32, u32)] = match rr.at {
             Some(pbn) => {
@@ -707,23 +717,20 @@ impl IoPath {
         };
         let covered: u32 = runs.iter().map(|&(_, n)| n).sum();
         if covered == 0 {
-            return match rr.reason {
+            return match demand {
                 // The caller saw the block mapped; an empty run-list here
                 // means the map lost it underneath us.
-                ReadReason::Demand => Err(FsError::Corrupt),
-                ReadReason::Readahead => Ok(Executed::AlreadyCached),
+                Some(_) => Err(FsError::Corrupt),
+                None => Ok(None),
             };
         }
         let stream = fstream.id().as_u32();
-        let span = match rr.reason {
-            ReadReason::Demand => inner.sim.tracer().start("iopath.read_runs", stream, parent),
-            // Read-ahead outlives the faulting operation; see `execute`.
-            ReadReason::Readahead => {
-                inner
-                    .sim
-                    .tracer()
-                    .start("iopath.readahead", stream, SpanId::NONE)
-            }
+        let span = match demand {
+            Some(parent) => inner.sim.tracer().start("iopath.read_runs", stream, parent),
+            None => inner
+                .sim
+                .tracer()
+                .start("iopath.readahead", stream, SpanId::NONE),
         };
         inner.sim.tracer().arg(span, "lbn", rr.lbn);
         let mut pages = Vec::new();
@@ -746,7 +753,7 @@ impl IoPath {
             // translation may await, e.g. an indirect-block read), or a
             // concurrent fault created it first.
             inner.sim.tracer().end(span);
-            return Ok(Executed::AlreadyCached);
+            return Ok(None);
         }
         inner.sim.tracer().arg(span, "blocks", n as u64);
         // One setup for the whole batch: this is the amortization a
@@ -774,45 +781,12 @@ impl IoPath {
             });
         }
         inner.sim.tracer().arg(span, "runs", parts.len() as u64);
-        let io = BatchRead {
+        Ok(Some(BatchRead {
             parts,
             stream,
             vnode: fstream.vnode,
             span,
-        };
-        match rr.reason {
-            ReadReason::Demand => Ok(Executed::BatchIssued(io)),
-            ReadReason::Readahead => {
-                let blocks = io.blocks();
-                inner.pf.issued.add(blocks as u64);
-                // Claim every wanted page; sieve gap filler is known
-                // wasted the moment it is issued.
-                let mut gap_blocks = 0u64;
-                {
-                    let mut ra = inner.ra_pending.borrow_mut();
-                    for part in &io.parts {
-                        for (run_lbn, _) in &part.pages {
-                            let wanted = match rr.sieve {
-                                Some((keep, period)) if period > 0 => {
-                                    ((run_lbn - rr.lbn) % period as u64) < keep as u64
-                                }
-                                _ => true,
-                            };
-                            if wanted {
-                                ra.insert(self.key(fstream, *run_lbn));
-                            } else {
-                                gap_blocks += 1;
-                            }
-                        }
-                    }
-                }
-                if gap_blocks > 0 {
-                    inner.pf.wasted.add(gap_blocks * inner.block_size as u64);
-                }
-                self.spawn_readahead_fill(io);
-                Ok(Executed::ReadaheadIssued { blocks })
-            }
-        }
+        }))
     }
 
     /// Waits out a demand batch part by part, charging one interrupt per
@@ -911,22 +885,85 @@ impl IoPath {
         Ok(held)
     }
 
-    /// The paper's Figure 8 while loop: sweep `[range)` for dirty resident
-    /// pages, gather each block-map-contiguous dirty run under page locks,
-    /// reserve throttle space, and push one stream-tagged write per run.
-    /// Completions (interrupt charge, page release, throttle credit) run
-    /// asynchronously; [`FileStream::quiesce`] waits them out.
-    async fn write_clusters(
+    /// `ufs_putpage` for one dirtied page (Figures 7 and 8): offers `lbn`
+    /// to the stream's delayed-write state with `unit`-block clusters and
+    /// pushes whatever run that completes. "Pretending the I/O completed"
+    /// is the common case: nothing is pushed and no I/O is started. At
+    /// `unit` 1 every page is pushed on its own (the unclustered path).
+    /// Returns the pushed cluster sizes, as [`IoPath::write_clusters`].
+    pub async fn putpage(
         &self,
         fstream: &Rc<FileStream>,
         map: &impl BlockMap,
-        wc: WriteCluster,
-    ) -> FsResult<Executed> {
+        lbn: u64,
+        unit: u32,
+    ) -> FsResult<Vec<u32>> {
+        let action = fstream.delayed.borrow_mut().on_putpage(lbn, unit);
+        match action {
+            WriteAction::Delay => Ok(Vec::new()),
+            WriteAction::Push(r) | WriteAction::PushThenDelay(r) => {
+                self.write_clusters(fstream, map, r, false).await
+            }
+        }
+    }
+
+    /// The data half of fsync: pushes the delayed run, then sweeps the
+    /// other dirty pages (random writes, cleaner races) as `sweep` says,
+    /// waits for the file's writes to land and reports a deferred-write
+    /// failure as `FsError::Io`. `count` sees each push's cluster sizes
+    /// as soon as that push returns.
+    pub async fn fsync(
+        &self,
+        fstream: &Rc<FileStream>,
+        map: &impl BlockMap,
+        sweep: DirtySweep,
+        count: impl Fn(&[u32]),
+    ) -> FsResult<()> {
+        let pending = fstream.delayed.borrow_mut().flush();
+        if let Some(r) = pending {
+            count(&self.write_clusters(fstream, map, r, false).await?);
+        }
+        let offsets = self.inner.cache.dirty_offsets(fstream.vnode);
+        let bs = self.inner.block_size as u64;
+        let mut ranges = contiguous_runs(offsets.iter().map(|o| o / bs));
+        if sweep == DirtySweep::Span {
+            // One sweep from the first dirty page to the last.
+            if let Some(end) = ranges.last().map(|r| r.end) {
+                ranges.truncate(1);
+                ranges[0].end = end;
+            }
+        }
+        for range in ranges {
+            count(&self.write_clusters(fstream, map, range, false).await?);
+        }
+        fstream.quiesce().await;
+        // Deferred writes fail with no caller to tell; the sticky stream
+        // error makes this fsync the one that reports the loss.
+        if fstream.take_io_error() {
+            return Err(FsError::Io);
+        }
+        Ok(())
+    }
+
+    /// The paper's Figure 8 while loop: sweep `[range)` for dirty resident
+    /// pages, gather each block-map-contiguous dirty run under page locks,
+    /// reserve throttle space, and push one stream-tagged write per run.
+    /// With `free_behind`, pages are freed once written (pageout-initiated
+    /// cleaning). Returns the blocks in each cluster pushed. Completions
+    /// (interrupt charge, page release, throttle credit) run
+    /// asynchronously; [`FileStream::quiesce`] waits them out.
+    pub async fn write_clusters(
+        &self,
+        fstream: &Rc<FileStream>,
+        map: &impl BlockMap,
+        range: Range<u64>,
+        free_behind: bool,
+    ) -> FsResult<Vec<u32>> {
         let inner = &*self.inner;
         let bs = inner.block_size;
         let mut cluster_blocks = Vec::new();
-        let mut cur = wc.range.start;
-        while cur < wc.range.end {
+        let mut cur = range.start;
+        while cur < range.end {
             // Find the next dirty resident page in the range and lock it.
             // Re-check dirtiness after the lock: a concurrent flush (fsync
             // racing putpage, or the cleaner) may have written it while we
@@ -949,7 +986,7 @@ impl IoPath {
                 continue;
             }
             // How far can one transfer go? The block map knows.
-            let cap = ((wc.range.end - cur) as u32).min(map.max_cluster());
+            let cap = ((range.end - cur) as u32).min(map.max_cluster());
             let (pbn, contig) = match map.extent(cur, cap).await? {
                 Some(v) => v,
                 None => {
@@ -986,7 +1023,7 @@ impl IoPath {
                     .with_page(*pid, |d| payload.extend_from_slice(d));
             }
             // A root span per cluster: the push completes after the caller
-            // returns (see `execute`), so it cannot nest anywhere.
+            // returns, so it cannot nest anywhere.
             let span = inner.sim.tracer().start(
                 "iopath.write_cluster",
                 fstream.id().as_u32(),
@@ -1010,7 +1047,6 @@ impl IoPath {
                 .submit_write_for(lba, nsect, payload, stream, span);
             let this = self.clone();
             let fstream2 = Rc::clone(fstream);
-            let free_after = wc.free_behind;
             inner.sim.spawn(async move {
                 let inner = &*this.inner;
                 let mut attempt = 0u32;
@@ -1063,7 +1099,7 @@ impl IoPath {
                 for pid in &run {
                     inner.cache.clear_dirty(*pid);
                     inner.cache.unbusy(*pid);
-                    if free_after {
+                    if free_behind {
                         inner.cache.free_page(*pid);
                     }
                 }
@@ -1074,18 +1110,32 @@ impl IoPath {
             cluster_blocks.push(n);
             cur += n as u64;
         }
-        Ok(Executed::Wrote { cluster_blocks })
+        Ok(cluster_blocks)
     }
 
-    /// Free-behind mechanism: release the page unless it became busy or
-    /// dirty since the policy looked.
-    fn free_page(&self, fb: FreeBehind) -> bool {
+    /// Free-behind mechanism: releases one consumed page behind a
+    /// sequential reader (the policy already decided it should go) unless
+    /// it became busy or dirty since the policy looked. Returns whether
+    /// the page was freed.
+    pub fn free_behind(&self, page: PageId) -> bool {
         let inner = &*self.inner;
-        if !inner.cache.is_busy(fb.page) && !inner.cache.is_dirty(fb.page) {
-            inner.cache.free_page(fb.page);
+        if !inner.cache.is_busy(page) && !inner.cache.is_dirty(page) {
+            inner.cache.free_page(page);
             true
         } else {
             false
         }
     }
+}
+
+/// Groups ascending block numbers into runs of consecutive blocks.
+fn contiguous_runs(blocks: impl Iterator<Item = u64>) -> Vec<Range<u64>> {
+    let mut out: Vec<Range<u64>> = Vec::new();
+    for b in blocks {
+        match out.last_mut() {
+            Some(run) if run.end == b => run.end += 1,
+            _ => out.push(b..b + 1),
+        }
+    }
+    out
 }

@@ -14,10 +14,7 @@ use diskmodel::{BlockDeviceExt, Disk, DiskParams, SharedDevice};
 use pagecache::{PageCache, PageCacheParams, PageKey};
 use simkit::perfmon::{self, CountingAlloc};
 use simkit::{Cpu, Sim, SimDuration, SpanId};
-use vfs::iopath::{
-    BlockMap, Executed, FileStream, IoCosts, IoIntent, IoPath, ReadReason, ReadRuns, WriteCluster,
-    WriteReason,
-};
+use vfs::iopath::{BlockMap, FileStream, IoCosts, IoPath, ReadRuns};
 use vfs::FsResult;
 
 #[global_allocator]
@@ -105,17 +102,14 @@ async fn demand_read(w: &World, lbn: u64) -> u64 {
     let rr = ReadRuns {
         lbn,
         len: CLUSTER,
-        reason: ReadReason::Demand,
         at: Some(lbn as u32),
         sieve: None,
     };
-    let issued =
-        w.io.execute(&w.stream, &Contiguous, IoIntent::ReadRuns(rr), SpanId::NONE)
+    let io =
+        w.io.read_runs(&w.stream, &Contiguous, rr, SpanId::NONE)
             .await
-            .expect("read issues");
-    let Executed::BatchIssued(io) = issued else {
-        panic!("demand read did not issue");
-    };
+            .expect("read issues")
+            .expect("demand read did not issue");
     assert_eq!(io.blocks(), CLUSTER);
     w.io.finish_batch(io, lbn).await.expect("read completes");
     allocated_bytes() - before
@@ -176,23 +170,10 @@ fn cluster_write_allocates_one_payload() {
                 w.cache.unbusy(id);
             }
             let before = allocated_bytes();
-            let wc = WriteCluster {
-                range: 0..CLUSTER as u64,
-                reason: WriteReason::Fsync,
-                free_behind: false,
-            };
-            let done =
-                w.io.execute(
-                    &w.stream,
-                    &Contiguous,
-                    IoIntent::WriteCluster(wc),
-                    SpanId::NONE,
-                )
-                .await
-                .expect("write issues");
-            let Executed::Wrote { cluster_blocks } = done else {
-                panic!("writeback did not write");
-            };
+            let cluster_blocks =
+                w.io.write_clusters(&w.stream, &Contiguous, 0..CLUSTER as u64, false)
+                    .await
+                    .expect("write issues");
             assert_eq!(cluster_blocks, vec![CLUSTER], "one cluster");
             w.stream.quiesce().await;
             spent = allocated_bytes() - before;

@@ -8,9 +8,7 @@ use clufs::{PrefetchPolicy, Prefetcher};
 use diskmodel::{BlockDeviceExt, Disk, DiskParams, SharedDevice};
 use pagecache::{PageCache, PageCacheParams, PageKey};
 use simkit::{Cpu, Sim, SimDuration, SpanId};
-use vfs::iopath::{
-    BlockMap, Executed, FileStream, IoCosts, IoIntent, IoPath, Probes, ReadReason, ReadRuns,
-};
+use vfs::iopath::{BlockMap, FileStream, IoCosts, IoPath, Probes, ReadRuns};
 use vfs::FsResult;
 
 const BLOCK: usize = 8192;
@@ -104,14 +102,13 @@ fn key(lbn: u64) -> PageKey {
     }
 }
 
-fn demand(lbn: u64, len: u32, at: Option<u32>) -> IoIntent {
-    IoIntent::ReadRuns(ReadRuns {
+fn demand(lbn: u64, len: u32, at: Option<u32>) -> ReadRuns {
+    ReadRuns {
         lbn,
         len,
-        reason: ReadReason::Demand,
         at,
         sieve: None,
-    })
+    }
 }
 
 /// Writes the file's 16 blocks to the platters, then demand-reads `len`
@@ -129,13 +126,11 @@ fn read_with(len: u32, at: Option<u32>) -> (u32, u32, usize, u64) {
         }
         let reads_before = w.disk.stats().reads;
         let map = CountingMap::default();
-        let issued =
-            w.io.execute(&w.stream, &map, demand(0, len, at), SpanId::NONE)
+        let io =
+            w.io.read_runs(&w.stream, &map, demand(0, len, at), SpanId::NONE)
                 .await
-                .expect("read issues");
-        let Executed::BatchIssued(io) = issued else {
-            panic!("demand read did not issue");
-        };
+                .expect("read issues")
+                .expect("demand read did not issue");
         assert_eq!(io.blocks(), len);
         let transfers = io.transfers();
         w.io.finish_batch(io, 0).await.expect("read completes");
@@ -177,7 +172,7 @@ fn a_demand_read_of_a_page_another_fault_created_is_already_cached() {
         let w = &*w2;
         let id = w.cache.create(key(0)).await; // Busy, as a concurrent fill leaves it.
         let issued =
-            w.io.execute(
+            w.io.read_runs(
                 &w.stream,
                 &CountingMap::default(),
                 demand(0, 8, Some(100)),
@@ -185,7 +180,7 @@ fn a_demand_read_of_a_page_another_fault_created_is_already_cached() {
             )
             .await
             .expect("no error");
-        assert!(matches!(issued, Executed::AlreadyCached));
+        assert!(issued.is_none(), "already cached");
         // The retry tail waits the fill out and hands back the same page.
         let cache = w.cache.clone();
         w.sim.spawn(async move { cache.unbusy(id) });

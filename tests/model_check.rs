@@ -1,16 +1,21 @@
-//! Model-based property testing: drive the full UFS stack with random
-//! operation sequences and check it against a trivial in-memory model
-//! (name → bytes). After every sequence the on-disk image must also pass
-//! fsck. This is the broadest correctness net in the repository: it
-//! exercises allocation, holes, truncation, clustering, the page cache,
+//! Model-based property testing: drive the full UFS and extentfs stacks
+//! with random operation sequences and check them against a trivial
+//! in-memory model (name → bytes). After every sequence the image must
+//! also check clean (UFS `fsck`, `ExtentFs::check`). This is the broadest
+//! correctness net in the repository: it exercises allocation, holes (or
+//! extentfs's zero-filled gaps), truncation, clustering, the page cache,
 //! the pageout daemon and the cleaner all at once.
 
 use std::collections::HashMap;
+use std::rc::Rc;
 
 use clufs::Tuning;
+use diskmodel::{DiskParams, SharedDevice};
+use extentfs::{ExtentFs, ExtentFsParams};
+use pagecache::{PageCache, PageCacheParams, PageoutDaemon, PageoutParams};
 use proptest::prelude::*;
-use simkit::Sim;
-use ufs::build_test_world;
+use simkit::{Cpu, Sim};
+use ufs::{build_test_world, CpuCosts};
 use vfs::{AccessMode, FileSystem, FsError, Vnode};
 
 /// One step of the workload.
@@ -61,98 +66,127 @@ fn fill(len: usize, seed: u8) -> Vec<u8> {
         .collect()
 }
 
+/// Applies `ops` to `fs` and to the model, checking every read and the
+/// final contents against it; returns the model.
+async fn drive<F: FileSystem>(fs: &F, ops: Vec<Op>) -> HashMap<u8, Vec<u8>> {
+    // The reference model: file contents by name.
+    let mut model: HashMap<u8, Vec<u8>> = HashMap::new();
+    for op in ops {
+        match op {
+            Op::Create(id) => {
+                let f = fs.create(&format!("f{id}")).await.unwrap();
+                assert_eq!(f.size(), 0, "create truncates");
+                model.insert(id, Vec::new());
+            }
+            Op::Write { id, off, len, seed } => {
+                let Some(content) = model.get_mut(&id) else {
+                    continue;
+                };
+                let f = fs.open(&format!("f{id}")).await.unwrap();
+                let data = fill(len as usize, seed);
+                match f.write(off as u64, &data, AccessMode::Copy).await {
+                    Ok(()) => {
+                        let end = off as usize + len as usize;
+                        if content.len() < end {
+                            content.resize(end, 0);
+                        }
+                        content[off as usize..end].copy_from_slice(&data);
+                    }
+                    Err(FsError::NoSpace) => { /* Model unchanged. */ }
+                    Err(e) => panic!("write failed: {e}"),
+                }
+            }
+            Op::Read { id, off, len } => {
+                let Some(content) = model.get(&id) else {
+                    continue;
+                };
+                let f = fs.open(&format!("f{id}")).await.unwrap();
+                assert_eq!(f.size(), content.len() as u64, "size agrees");
+                let got = f
+                    .read(off as u64, len as usize, AccessMode::Copy)
+                    .await
+                    .unwrap();
+                let expect: &[u8] = if (off as usize) < content.len() {
+                    &content[off as usize..content.len().min(off as usize + len as usize)]
+                } else {
+                    &[]
+                };
+                assert_eq!(got, expect, "read mismatch f{id} @{off}+{len}");
+            }
+            Op::Truncate { id, size } => {
+                let Some(content) = model.get_mut(&id) else {
+                    continue;
+                };
+                let f = fs.open(&format!("f{id}")).await.unwrap();
+                f.truncate(size as u64).await.unwrap();
+                if (size as usize) < content.len() {
+                    content.truncate(size as usize);
+                } else {
+                    content.resize(size as usize, 0); // Hole extension.
+                }
+            }
+            Op::Remove(id) => {
+                if model.remove(&id).is_some() {
+                    fs.remove(&format!("f{id}")).await.unwrap();
+                    assert_eq!(
+                        fs.open(&format!("f{id}")).await.err(),
+                        Some(FsError::NotFound)
+                    );
+                }
+            }
+            Op::Fsync(id) => {
+                if model.contains_key(&id) {
+                    let f = fs.open(&format!("f{id}")).await.unwrap();
+                    f.fsync().await.unwrap();
+                }
+            }
+            Op::SyncAll => {
+                fs.sync().await.unwrap();
+            }
+        }
+    }
+    // Final: full contents agree.
+    for (id, content) in &model {
+        let f = fs.open(&format!("f{id}")).await.unwrap();
+        let got = f.read(0, content.len(), AccessMode::Copy).await.unwrap();
+        assert_eq!(&got, content, "final content f{id}");
+    }
+    model
+}
+
 fn run_sequence(ops: Vec<Op>, tuning: Tuning) {
     let sim = Sim::new();
     let s = sim.clone();
     sim.run_until(async move {
         let w = build_test_world(&s, tuning).await.unwrap();
-        // The reference model: file contents by name.
-        let mut model: HashMap<u8, Vec<u8>> = HashMap::new();
-        for op in ops {
-            match op {
-                Op::Create(id) => {
-                    let f = w.fs.create(&format!("f{id}")).await.unwrap();
-                    assert_eq!(f.size(), 0, "create truncates");
-                    model.insert(id, Vec::new());
-                }
-                Op::Write { id, off, len, seed } => {
-                    let Some(content) = model.get_mut(&id) else {
-                        continue;
-                    };
-                    let f = w.fs.open(&format!("f{id}")).await.unwrap();
-                    let data = fill(len as usize, seed);
-                    match f.write(off as u64, &data, AccessMode::Copy).await {
-                        Ok(()) => {
-                            let end = off as usize + len as usize;
-                            if content.len() < end {
-                                content.resize(end, 0);
-                            }
-                            content[off as usize..end].copy_from_slice(&data);
-                        }
-                        Err(FsError::NoSpace) => { /* Model unchanged. */ }
-                        Err(e) => panic!("write failed: {e}"),
-                    }
-                }
-                Op::Read { id, off, len } => {
-                    let Some(content) = model.get(&id) else {
-                        continue;
-                    };
-                    let f = w.fs.open(&format!("f{id}")).await.unwrap();
-                    assert_eq!(f.size(), content.len() as u64, "size agrees");
-                    let got = f
-                        .read(off as u64, len as usize, AccessMode::Copy)
-                        .await
-                        .unwrap();
-                    let expect: &[u8] = if (off as usize) < content.len() {
-                        &content[off as usize..content.len().min(off as usize + len as usize)]
-                    } else {
-                        &[]
-                    };
-                    assert_eq!(got, expect, "read mismatch f{id} @{off}+{len}");
-                }
-                Op::Truncate { id, size } => {
-                    let Some(content) = model.get_mut(&id) else {
-                        continue;
-                    };
-                    let f = w.fs.open(&format!("f{id}")).await.unwrap();
-                    f.truncate(size as u64).await.unwrap();
-                    if (size as usize) < content.len() {
-                        content.truncate(size as usize);
-                    } else {
-                        content.resize(size as usize, 0); // Hole extension.
-                    }
-                }
-                Op::Remove(id) => {
-                    if model.remove(&id).is_some() {
-                        w.fs.remove(&format!("f{id}")).await.unwrap();
-                        assert_eq!(
-                            w.fs.open(&format!("f{id}")).await.err(),
-                            Some(FsError::NotFound)
-                        );
-                    }
-                }
-                Op::Fsync(id) => {
-                    if model.contains_key(&id) {
-                        let f = w.fs.open(&format!("f{id}")).await.unwrap();
-                        f.fsync().await.unwrap();
-                    }
-                }
-                Op::SyncAll => {
-                    w.fs.sync().await.unwrap();
-                }
-            }
-        }
-        // Final: full contents agree, then the image checks out on disk.
-        for (id, content) in &model {
-            let f = w.fs.open(&format!("f{id}")).await.unwrap();
-            let got = f.read(0, content.len(), AccessMode::Copy).await.unwrap();
-            assert_eq!(&got, content, "final content f{id}");
-        }
+        let model = drive(&w.fs, ops).await;
+        // The image checks out on disk.
         w.cache.assert_consistent();
         w.fs.clone().unmount().await.unwrap();
         let report = ufs::fsck(&*w.disk).await.unwrap();
         assert!(report.is_clean(), "fsck: {:?}", report.errors);
         assert_eq!(report.files as usize, model.len());
+    });
+}
+
+/// The same sequence against extentfs, on a world built like its unit
+/// tests: the small test disk, a 32-page cache, 8-block extents and a
+/// pageout daemon with no cleaner (extentfs has none).
+fn run_extentfs_sequence(ops: Vec<Op>) {
+    let sim = Sim::new();
+    let s = sim.clone();
+    sim.run_until(async move {
+        let cpu = Cpu::new(&s);
+        let disk: SharedDevice = Rc::new(diskmodel::Disk::new(&s, DiskParams::small_test()));
+        let cache = PageCache::new(&s, PageCacheParams::small_test());
+        let (_daemon, rx) = PageoutDaemon::spawn(&s, &cache, None, PageoutParams::small_test());
+        std::mem::forget(rx); // Keep the cleaner channel open.
+        let mut params = ExtentFsParams::with_extent_blocks(8);
+        params.costs = CpuCosts::free();
+        let fs = ExtentFs::format(&s, &cpu, &cache, &disk, 64, params).unwrap();
+        drive(&fs, ops).await;
+        cache.assert_consistent();
+        assert!(fs.check().is_empty(), "check: {:?}", fs.check());
     });
 }
 
@@ -173,6 +207,13 @@ proptest! {
     #[test]
     fn block_fs_matches_model(ops in proptest::collection::vec(op_strategy(), 1..40)) {
         run_sequence(ops, Tuning::config_d());
+    }
+
+    /// And the extent file system: tree, buddy allocator, inline spill and
+    /// zero-filled gaps.
+    #[test]
+    fn extentfs_matches_model(ops in proptest::collection::vec(op_strategy(), 1..40)) {
+        run_extentfs_sequence(ops);
     }
 }
 
